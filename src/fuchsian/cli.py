@@ -3,7 +3,9 @@
 Output is line-oriented `key value` pairs on stdout, diagnostics on stderr.
 Exit codes: 0 success, 1 solver did not converge (or residual above
 tolerance for check-relation), 2 non-integral invariant, 3 relation
-violated, 64 argument errors.
+violated, 64 argument errors, including an unreadable or malformed input
+file and values outside a command's domain.  Every nonzero exit after
+argument parsing prints one `error ...` line on stderr.
 """
 from __future__ import annotations
 
@@ -231,6 +233,12 @@ def run(argv=None) -> int:
     except NonIntegral as exc:
         print(f"error {exc}", file=sys.stderr)
         return EXIT_NON_INTEGRAL
+    except (OSError, ValueError) as exc:
+        # The package raises ValueError for values outside its domain (a rep
+        # file that does not parse, det != 1, a dependent lattice basis, a
+        # genus too small); OSError covers input and output paths.
+        print(f"error {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main() -> None:

@@ -27,7 +27,20 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .halfplane import HPoint, Mat2, frobenius_distance, j_cocycle, mobius_act
+# mobius_act is not called here; it stays importable because bench/tracer.py
+# wraps it under this name.
+from .halfplane import (  # noqa: F401
+    HPoint,
+    Mat2,
+    _act,
+    _inv,
+    _j,
+    _mat,
+    _mul,
+    frobenius_distance,
+    j_cocycle,
+    mobius_act,
+)
 
 TWO_PI = 2.0 * math.pi
 EXP_TOL = 1e-9     # |exp(phi(i)) - j(A,i)| allowed, relative above |j| = 1
@@ -40,6 +53,18 @@ class NotInKernel(ValueError):
     """kernel_value() was given an element whose matrix part is not near I."""
 
 
+def _j_i(m: tuple) -> complex:
+    # j(A, i) by the operations of _j(c, d, 0.0, 1.0); c * 1.0 is c exactly
+    c = m[2]
+    return complex(c * 0.0 + m[3], c)
+
+
+def _check_phi(phi: complex, j: complex) -> None:
+    """The CoverElement invariant: phi(i) is a logarithm of j(A, i)."""
+    if abs(cmath.exp(phi) - j) > EXP_TOL * max(1.0, abs(j)):
+        raise ValueError(f"phi(i) = {phi} is not a logarithm of j(A, i) = {j}")
+
+
 @dataclass(frozen=True)
 class CoverElement:
     """Pair (A, phi(i)) with exp(phi(i)) = j(A, i)."""
@@ -48,11 +73,7 @@ class CoverElement:
     phi_i: complex
 
     def __post_init__(self):
-        j = j_cocycle(self.A, _I)
-        if abs(cmath.exp(self.phi_i) - j) > EXP_TOL * max(1.0, abs(j)):
-            raise ValueError(
-                f"phi(i) = {self.phi_i} is not a logarithm of j(A, i) = {j}"
-            )
+        _check_phi(self.phi_i, j_cocycle(self.A, _I))
 
     def __mul__(self, other: "CoverElement") -> "CoverElement":
         return cover_mul(self, other)
@@ -66,33 +87,71 @@ class KernelValue(NamedTuple):
     residual: float
 
 
+# Kernels on (entries, phi(i)) pairs, entries an (a, b, c, d) tuple.  Each
+# result passes _check_phi, and its matrix passed halfplane's _check_mat.
+
+def _lift(m: tuple, k: int) -> tuple:
+    j = _j_i(m)
+    phi = cmath.log(j) + complex(0.0, TWO_PI * k)
+    _check_phi(phi, j)
+    return m, phi
+
+
+def _phi_at(m: tuple, phi_i: complex, x: float, y: float) -> complex:
+    return phi_i + cmath.log(_j(m[2], m[3], x, y) / _j_i(m))
+
+
+def _rebased(m: tuple, phi: complex) -> tuple:
+    # reset the redundant real part; the imaginary part is the payload
+    j = _j_i(m)
+    phi = complex(math.log(abs(j)), phi.imag)
+    _check_phi(phi, j)
+    return m, phi
+
+
+def _cmul(e1: tuple, e2: tuple) -> tuple:
+    (m1, phi1), (m2, phi2) = e1, e2
+    m = _mul(m1, m2)
+    x, y = _act(m2, 0.0, 1.0)
+    return _rebased(m, _phi_at(m1, phi1, x, y) + phi2)
+
+
+def _cinv(e: tuple) -> tuple:
+    m, phi = e
+    m_inv = _inv(m)
+    x, y = _act(m_inv, 0.0, 1.0)
+    return _rebased(m_inv, -_phi_at(m, phi, x, y))
+
+
+def _pair(e: CoverElement) -> tuple:
+    A = e.A
+    return (A.a, A.b, A.c, A.d), e.phi_i
+
+
+def _element(e: tuple) -> CoverElement:
+    # Unchecked constructor for a pair that has just passed _check_phi.
+    out = object.__new__(CoverElement)
+    out.__dict__.update(A=_mat(e[0]), phi_i=e[1])
+    return out
+
+
 def lift(A: Mat2, k: int = 0) -> CoverElement:
     """The element over A on branch k; k = 0 takes the principal argument."""
-    j = j_cocycle(A, _I)
-    return CoverElement(A, cmath.log(j) + complex(0.0, TWO_PI * k))
+    return _element(_lift((A.a, A.b, A.c, A.d), k))
 
 
 def phi_at(e: CoverElement, z: HPoint) -> complex:
     """Evaluate the branch at z: phi(i) plus the principal-log increment."""
-    return e.phi_i + cmath.log(j_cocycle(e.A, z) / j_cocycle(e.A, _I))
-
-
-def _rebased(A: Mat2, phi: complex) -> CoverElement:
-    # reset the redundant real part; the imaginary part is the payload
-    j = j_cocycle(A, _I)
-    return CoverElement(A, complex(math.log(abs(j)), phi.imag))
+    m, phi = _pair(e)
+    return _phi_at(m, phi, z.x, z.y)
 
 
 def cover_mul(e1: CoverElement, e2: CoverElement) -> CoverElement:
-    A = e1.A @ e2.A
-    phi = phi_at(e1, mobius_act(e2.A, _I)) + e2.phi_i
-    return _rebased(A, phi)
+    return _element(_cmul(_pair(e1), _pair(e2)))
 
 
 def cover_inv(e: CoverElement) -> CoverElement:
-    A_inv = e.A.inv()
-    phi = -phi_at(e, mobius_act(A_inv, _I))
-    return _rebased(A_inv, phi)
+    return _element(_cinv(_pair(e)))
 
 
 def kernel_value(e: CoverElement, tol: float = KERNEL_TOL) -> KernelValue:

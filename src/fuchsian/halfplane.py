@@ -7,6 +7,12 @@ module is the scalar numerical core: the matrix and point types, the action
 and its j-cocycle j(A, z) = cz + d, trace classification, and the metric
 (closed-form distance plus a discretized path length used as its oracle).
 
+The arithmetic itself runs on private kernels over plain tuples: _mul, _inv
+and _act take matrices as entry 4-tuples (a, b, c, d) and points as pairs
+(x, y).  Every kernel result passes the same check helper the constructors
+call (_check_mat, _check_point), so the public operations wrap a kernel and
+build their result without checking it a second time.
+
 All types are immutable values and all functions are pure, so everything in
 here can be shared or sent across threads freely.
 """
@@ -15,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from math import isfinite
 
 DET_TOL = 1e-9    # |det - 1| allowed at construction
 TRACE_TOL = 1e-8  # half-width of the parabolic band around |trace| = 2
@@ -29,6 +36,77 @@ class NonPositiveScale(ValueError):
     """scaling() requires a strictly positive ratio."""
 
 
+def _check_mat(m: tuple) -> tuple:
+    """The Mat2 invariant on an entry 4-tuple: finite, det = 1 within DET_TOL."""
+    a, b, c, d = m
+    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
+        raise ValueError(f"non-finite matrix entries {m}")
+    det = a * d - b * c
+    err = abs(det - 1.0)
+    if err > DET_TOL:
+        # ad - bc itself carries ~scale^2 * eps of rounding, so the check is
+        # widened for large entries where the absolute tolerance is unmeasurable
+        scale = max(abs(a), abs(b), abs(c), abs(d))
+        tol = max(DET_TOL, 64.0 * 2.22e-16 * scale * scale)
+        if err > tol:
+            raise ValueError(f"determinant {det!r} is not 1 within {tol}")
+    return m
+
+
+def _renorm(a: float, b: float, c: float, d: float) -> tuple:
+    """Divide by sqrt(det), then check the result like Mat2 does."""
+    det = a * d - b * c
+    if not det > 0.0:  # also rejects NaN
+        raise ValueError(f"cannot renormalize entries with det {det!r}")
+    s = math.sqrt(det)
+    return _check_mat((a / s, b / s, c / s, d / s))
+
+
+def _mul(m: tuple, n: tuple) -> tuple:
+    """Checked product of two entry 4-tuples, renormalized onto det = 1.
+
+    Renormalizing every product keeps long words from drifting off det = 1.
+    """
+    a, b, c, d = m
+    e, f, g, h = n
+    return _renorm(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _inv(m: tuple) -> tuple:
+    """Adjugate: exact for det = 1, never amplifies the entries."""
+    a, b, c, d = m
+    return _check_mat((d, -b, -c, a))
+
+
+def _j(c: float, d: float, x: float, y: float) -> complex:
+    return complex(c * x + d, c * y)
+
+
+def _check_point(p: tuple) -> tuple:
+    """The HPoint invariant on an (x, y) pair: finite, y > 0."""
+    x, y = p
+    if not (isfinite(x) and isfinite(y)):
+        raise ValueError(f"non-finite coordinates ({x!r}, {y!r})")
+    if not y > 0.0:
+        raise ValueError(f"imaginary part {y!r} must be positive")
+    return p
+
+
+def _act(m: tuple, x: float, y: float) -> tuple:
+    """Checked Mobius action of an entry 4-tuple on the point x + iy.
+
+    The imaginary part is computed from Im(Az) = Im(z)/|cz+d|^2, which keeps
+    it strictly positive instead of trusting a complex quotient near the axis.
+    """
+    a, b, c, d = m
+    den = _j(c, d, x, y)
+    den2 = den.real * den.real + den.imag * den.imag
+    if den2 < DEN_TOL * DEN_TOL:
+        raise DegenerateDenominator(f"|cz+d| = {math.sqrt(den2):.3e} at z = {complex(x, y)}")
+    w = complex(a * x + b, a * y) / den
+    return _check_point((w.real, y / den2))
+
+
 @dataclass(frozen=True)
 class Mat2:
     """Real 2x2 matrix of determinant one (within DET_TOL)."""
@@ -39,16 +117,7 @@ class Mat2:
     d: float
 
     def __post_init__(self):
-        entries = (self.a, self.b, self.c, self.d)
-        if not all(math.isfinite(e) for e in entries):
-            raise ValueError(f"non-finite matrix entries {entries}")
-        det = self.a * self.d - self.b * self.c
-        # ad - bc itself carries ~scale^2 * eps of rounding, so the check is
-        # widened for large entries where the absolute tolerance is unmeasurable
-        scale = max(abs(e) for e in entries)
-        tol = max(DET_TOL, 64.0 * 2.22e-16 * scale * scale)
-        if abs(det - 1.0) > tol:
-            raise ValueError(f"determinant {det!r} is not 1 within {tol}")
+        _check_mat((self.a, self.b, self.c, self.d))
 
     @classmethod
     def identity(cls) -> "Mat2":
@@ -57,37 +126,37 @@ class Mat2:
     @classmethod
     def renormalized(cls, a: float, b: float, c: float, d: float) -> "Mat2":
         """Divide by sqrt(det), so nearly-unimodular entries construct cleanly."""
-        det = a * d - b * c
-        if not det > 0.0:  # also rejects NaN
-            raise ValueError(f"cannot renormalize entries with det {det!r}")
-        s = math.sqrt(det)
-        return cls(a / s, b / s, c / s, d / s)
+        return _mat(_renorm(a, b, c, d))
 
     @property
     def trace(self) -> float:
         return self.a + self.d
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        # renormalizing every product keeps long words from drifting off det = 1
-        return Mat2.renormalized(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return _mat(_mul((self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d)))
 
     def inv(self) -> "Mat2":
-        # adjugate: exact for det = 1, never amplifies the entries
-        return Mat2(self.d, -self.b, -self.c, self.a)
+        return _mat(_inv((self.a, self.b, self.c, self.d)))
 
     def __neg__(self) -> "Mat2":
         return Mat2(-self.a, -self.b, -self.c, -self.d)
 
 
-def frobenius_distance(A: Mat2, B: Mat2) -> float:
+def _mat(m: tuple) -> Mat2:
+    # Unchecked constructor for a tuple that has just passed _check_mat.
+    A = object.__new__(Mat2)
+    A.__dict__.update(a=m[0], b=m[1], c=m[2], d=m[3])
+    return A
+
+
+def _frobenius(m: tuple, n: tuple) -> float:
     return math.sqrt(
-        (A.a - B.a) ** 2 + (A.b - B.b) ** 2 + (A.c - B.c) ** 2 + (A.d - B.d) ** 2
+        (m[0] - n[0]) ** 2 + (m[1] - n[1]) ** 2 + (m[2] - n[2]) ** 2 + (m[3] - n[3]) ** 2
     )
+
+
+def frobenius_distance(A: Mat2, B: Mat2) -> float:
+    return _frobenius((A.a, A.b, A.c, A.d), (B.a, B.b, B.c, B.d))
 
 
 @dataclass(frozen=True)
@@ -98,10 +167,7 @@ class HPoint:
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite coordinates ({self.x!r}, {self.y!r})")
-        if not self.y > 0.0:
-            raise ValueError(f"imaginary part {self.y!r} must be positive")
+        _check_point((self.x, self.y))
 
     @classmethod
     def from_complex(cls, z: complex) -> "HPoint":
@@ -110,6 +176,13 @@ class HPoint:
     @property
     def z(self) -> complex:
         return complex(self.x, self.y)
+
+
+def _point(p: tuple) -> HPoint:
+    # Unchecked constructor for a pair that has just passed _check_point.
+    z = object.__new__(HPoint)
+    z.__dict__.update(x=p[0], y=p[1])
+    return z
 
 
 class IsometryClass(Enum):
@@ -158,22 +231,12 @@ def classify_detailed(A: Mat2, tol: float = TRACE_TOL) -> Classification:
 
 def j_cocycle(A: Mat2, z: HPoint) -> complex:
     """Denominator cocycle j(A, z) = cz + d; never 0 on the half-plane."""
-    return complex(A.c * z.x + A.d, A.c * z.y)
+    return _j(A.c, A.d, z.x, z.y)
 
 
 def mobius_act(A: Mat2, z: HPoint) -> HPoint:
-    """Apply z -> (az + b)/(cz + d).
-
-    The imaginary part is computed from Im(Az) = Im(z)/|cz+d|^2, which keeps
-    it strictly positive instead of trusting a complex quotient near the axis.
-    """
-    den = j_cocycle(A, z)
-    den2 = den.real * den.real + den.imag * den.imag
-    if den2 < DEN_TOL * DEN_TOL:
-        raise DegenerateDenominator(f"|cz+d| = {math.sqrt(den2):.3e} at z = {z.z}")
-    num = complex(A.a * z.x + A.b, A.a * z.y)
-    w = num / den
-    return HPoint(w.real, z.y / den2)
+    """Apply z -> (az + b)/(cz + d); see _act for the imaginary part."""
+    return _point(_act((A.a, A.b, A.c, A.d), z.x, z.y))
 
 
 def hyp_distance(z: HPoint, w: HPoint) -> float:

@@ -22,8 +22,13 @@ import warnings
 from dataclasses import dataclass
 from math import pi
 
-from .cover import CoverElement, cover_inv, cover_mul, lift
-from .halfplane import Mat2, frobenius_distance
+# lift, cover_mul and cover_inv stay importable here: bench/tracer.py wraps
+# them under these names.
+from .cover import _cinv, _cmul, _lift, cover_inv, cover_mul, lift  # noqa: F401
+from .halfplane import Mat2, _frobenius, _inv, _mat, _mul
+
+_EYE = (1.0, 0.0, 0.0, 1.0)
+_MINUS_EYE = (-1.0, -0.0, -0.0, -1.0)
 
 REL_TOL = 1e-6         # relation residual for a representation to count as valid
 NONINTEGRAL_TOL = 1e-3  # raw invariant farther than this from the lattice is an error
@@ -68,18 +73,27 @@ class Representation:
         return cls(genus, (eye,) * genus, (eye,) * genus)
 
 
-def relation_product(r: Representation) -> Mat2:
-    P = Mat2.identity()
+def _relation_entries(r: Representation) -> tuple:
+    # The word P A_1 B_1 A_1^-1 B_1^-1 ... multiplied left to right from P = I.
+    P = _EYE
     for A, B in zip(r.gens_a, r.gens_b):
-        P = P @ A @ B @ A.inv() @ B.inv()
+        a = (A.a, A.b, A.c, A.d)
+        b = (B.a, B.b, B.c, B.d)
+        P = _mul(_mul(_mul(_mul(P, a), b), _inv(a)), _inv(b))
     return P
+
+
+def _distance_to_pm_eye(m: tuple) -> tuple[float, float]:
+    return _frobenius(m, _EYE), _frobenius(m, _MINUS_EYE)
+
+
+def relation_product(r: Representation) -> Mat2:
+    return _mat(_relation_entries(r))
 
 
 def relation_residual(r: Representation) -> float:
     """Frobenius distance of the commutator product to +-I (sign-tolerant)."""
-    P = relation_product(r)
-    eye = Mat2.identity()
-    return min(frobenius_distance(P, eye), frobenius_distance(P, -eye))
+    return min(_distance_to_pm_eye(_relation_entries(r)))
 
 
 @dataclass(frozen=True)
@@ -101,30 +115,28 @@ def toledo(
     branches, when given, holds 2g integers choosing the lift branch of
     A_1, B_1, ..., A_g, B_g in that order; the result must not depend on it.
     """
-    if relation_residual(r) > rel_tol:
-        raise RelationViolated(
-            f"relation residual {relation_residual(r):.3e} exceeds {rel_tol:.1e}"
-        )
+    rel = relation_residual(r)
+    if rel > rel_tol:
+        raise RelationViolated(f"relation residual {rel:.3e} exceeds {rel_tol:.1e}")
     if branches is None:
         branches = (0,) * (2 * r.genus)
     if len(branches) != 2 * r.genus:
         raise ValueError(f"need {2 * r.genus} branch integers, got {len(branches)}")
 
-    total: CoverElement | None = None
+    # Each commutator is (ta tb)(ta^-1 tb^-1); the total accumulates from the left.
+    total = None
     for i, (A, B) in enumerate(zip(r.gens_a, r.gens_b)):
-        ta = lift(A, branches[2 * i])
-        tb = lift(B, branches[2 * i + 1])
-        comm = cover_mul(cover_mul(ta, tb), cover_mul(cover_inv(ta), cover_inv(tb)))
-        total = comm if total is None else cover_mul(total, comm)
-    assert total is not None
+        ta = _lift((A.a, A.b, A.c, A.d), branches[2 * i])
+        tb = _lift((B.a, B.b, B.c, B.d), branches[2 * i + 1])
+        comm = _cmul(_cmul(ta, tb), _cmul(_cinv(ta), _cinv(tb)))
+        total = comm if total is None else _cmul(total, comm)
+    m, phi = total
 
-    eye = Mat2.identity()
-    dist_plus = frobenius_distance(total.A, eye)
-    dist_minus = frobenius_distance(total.A, -eye)
+    dist_plus, dist_minus = _distance_to_pm_eye(m)
     psl_only = dist_minus < dist_plus
     kernel_matrix_residual = min(dist_plus, dist_minus)
 
-    raw = total.phi_i.imag / pi
+    raw = phi.imag / pi
     if psl_only:
         value = round(raw)            # lattice over -I is the odd integers
     else:

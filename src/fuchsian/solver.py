@@ -143,43 +143,55 @@ def refine(
     """Drive the relation residual below tol by damped Gauss-Newton.
 
     Damping follows the usual schedule: multiply by 10 when a step fails to
-    decrease the residual, divide by 10 when it succeeds.
+    decrease the residual, divide by 10 when it succeeds.  A trial step whose
+    residual overflows to inf or NaN is rejected like any other failed step
+    and counted; numpy's overflow warnings are silenced for the whole solve,
+    because every non-finite value is handled here.
     """
     vals = np.array(vals, dtype=float)
     lam = 1e-3
-    f = residual(vals)
-    for it in range(max_iter):
-        if verbose:
-            print(f"iter {it} residual {f:.6e} damping {lam:.1e}", file=sys.stderr)
-        if f <= tol:
-            return vals
-        gap = relation_gap(vals)
-        J = relation_jacobian(vals, step=fd_step)
-        JtJ = J.T @ J
-        Jtg = J.T @ gap
-        n = JtJ.shape[0]
-        accepted = False
-        for _ in range(60):
-            try:
-                delta = np.linalg.solve(JtJ + lam * np.eye(n), -Jtg)
-            except np.linalg.LinAlgError:
+    nonfinite = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = residual(vals)
+        for it in range(max_iter):
+            if verbose:
+                print(f"iter {it} residual {f:.6e} damping {lam:.1e}", file=sys.stderr)
+            if f <= tol:
+                break
+            gap = relation_gap(vals)
+            J = relation_jacobian(vals, step=fd_step)
+            JtJ = J.T @ J
+            Jtg = J.T @ gap
+            n = JtJ.shape[0]
+            accepted = False
+            for _ in range(60):
+                try:
+                    delta = np.linalg.solve(JtJ + lam * np.eye(n), -Jtg)
+                except np.linalg.LinAlgError:
+                    lam *= 10.0
+                    continue
+                cand = vals + delta.reshape(vals.shape)
+                f_cand = residual(cand)
+                if not np.isfinite(f_cand):
+                    nonfinite += 1
+                elif f_cand < f:
+                    vals, f = cand, f_cand
+                    lam = max(lam / 10.0, 1e-14)
+                    accepted = True
+                    break
                 lam *= 10.0
-                continue
-            cand = vals + delta.reshape(vals.shape)
-            f_cand = residual(cand)
-            if f_cand < f:
-                vals, f = cand, f_cand
-                lam = max(lam / 10.0, 1e-14)
-                accepted = True
+                if lam > 1e14:
+                    break
+            if not accepted:
                 break
-            lam *= 10.0
-            if lam > 1e14:
-                break
-        if not accepted:
-            break
+    if verbose:
+        print(f"nonfinite_trials {nonfinite}", file=sys.stderr)
     if f <= tol:
         return vals
-    raise DidNotConverge(f"residual {f:.3e} after {max_iter} iterations (tol {tol:.1e})")
+    raise DidNotConverge(
+        f"residual {f:.3e} after {max_iter} iterations (tol {tol:.1e}, "
+        f"{nonfinite} non-finite trial steps rejected)"
+    )
 
 
 def solve(

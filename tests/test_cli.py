@@ -154,3 +154,26 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "class Identity" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["toledo", "--in", "bad.rep"],
+        ["check-relation", "--in", "missing.rep"],
+        ["classify", "--matrix", "2,0,0,2"],
+        ["euclid-reduce", "--a", "1,0", "--b", "2,0", "--p", "0,0"],
+        ["polygon", "--genus", "1", "--out", "poly.txt"],
+        ["fuchsian-gen", "--genus", "1", "--out", "rep.txt"],
+    ],
+    ids=["malformed-file", "missing-file", "det-not-one", "dependent-basis",
+         "polygon-genus-1", "fuchsian-gen-genus-1"],
+)
+def test_bad_input_exits_64_with_one_error_line(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.rep").write_text("genus 1\nA 1 0 0\nB 1 0 0 1\n")  # short A row
+    assert run(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error ")

@@ -62,6 +62,17 @@ class TestLift:
         with pytest.raises(ValueError):
             CoverElement(Mat2.identity(), complex(0.5, 0.0))
 
+    def test_invariant_guard_on_imaginary_part(self):
+        # exp(i) is on the unit circle like j(I, i) = 1, but is not 1
+        with pytest.raises(ValueError):
+            CoverElement(Mat2.identity(), 1j)
+
+    def test_overflowing_product_raises(self):
+        # the matrix check runs inside cover_mul: inf/NaN never reaches phi
+        e = lift(Mat2(1e160, 0.0, 0.0, 1e-160))
+        with pytest.raises(ValueError):
+            cover_mul(e, e)
+
 
 class TestPhiAt:
     def test_identity_everywhere_zero(self):

@@ -39,6 +39,12 @@ class TestMat2:
         with pytest.raises(ValueError):
             Mat2(math.inf, 0.0, 0.0, 1.0)
 
+    def test_product_overflow_raises(self):
+        # the entries of the square overflow; the product must not return inf/NaN
+        M = Mat2(1e160, 0.0, 0.0, 1e-160)
+        with pytest.raises(ValueError, match="non-finite"):
+            M @ M
+
     def test_inverse(self):
         M = iwasawa(0.3, 0.5, -0.7)
         assert mat_close(M @ M.inv(), Mat2.identity(), 1e-15)

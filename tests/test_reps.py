@@ -1,8 +1,12 @@
+import math
+
 import pytest
 from hypothesis import given
 
 from conftest import sl2_matrices
+from fuchsian.cover import cover_inv, cover_mul, lift
 from fuchsian.halfplane import Mat2, rotation, scaling
+from fuchsian.polygons import regular_polygon, side_pairings
 from fuchsian.repfile import format_rep, parse_rep, read_rep_file, write_rep_file
 from fuchsian.reps import (
     NonIntegral,
@@ -12,6 +16,7 @@ from fuchsian.reps import (
     goldman_fuchsian_test,
     milnor_check,
     reflect_conjugate,
+    relation_product,
     relation_residual,
     toledo,
 )
@@ -94,6 +99,55 @@ class TestToledo:
             tuple(G @ B @ G.inv() for B in octagon_rep.gens_b),
         )
         assert toledo(conj).value == toledo(octagon_rep).value
+
+
+# (genus, reflected, value, psl_only, raw, kernel_matrix_residual,
+#  relation_residual) for the polygon representations, recorded with the
+# Mat2/CoverElement object arithmetic that preceded the tuple kernels.
+POLYGON_PINS = [
+    (2, False, -2, False, -2.000000000000002, 2.5705383976014592e-14, 3.55566581897262e-14),
+    (2, True, 2, False, 2.000000000000002, 2.5705383976014592e-14, 3.55566581897262e-14),
+    (3, False, -4, False, -4.000000000000001, 5.695363635410025e-14, 1.8119207111365324e-13),
+    (3, True, 4, False, 4.000000000000001, 5.695363635410025e-14, 1.8119207111365324e-13),
+    (5, False, -8, False, -7.999999999999999, 3.1833602799382045e-11, 9.33661840131905e-12),
+    (5, True, 8, False, 7.999999999999999, 3.1833602799382045e-11, 9.33661840131905e-12),
+    (10, False, -18, False, -17.999999999999936, 7.216455605382063e-09, 1.4485165247639218e-10),
+    (10, True, 18, False, 17.999999999999936, 7.216455605382063e-09, 1.4485165247639218e-10),
+]
+
+
+def polygon_rep(genus, reflected):
+    r = side_pairings(regular_polygon(genus))
+    return reflect_conjugate(r) if reflected else r
+
+
+class TestKernels:
+    @pytest.mark.parametrize("g, reflected, value, psl_only, raw, kmr, rel", POLYGON_PINS)
+    def test_polygon_values_pinned(self, g, reflected, value, psl_only, raw, kmr, rel):
+        r = polygon_rep(g, reflected)
+        t = toledo(r)
+        assert t.value == value
+        assert t.psl_only is psl_only
+        assert abs(t.raw - raw) < 1e-12
+        assert abs(t.kernel_matrix_residual - kmr) < 1e-12
+        assert abs(relation_residual(r) - rel) < 1e-12
+
+    @pytest.mark.parametrize("g, reflected", [(2, False), (3, True), (10, False)])
+    def test_same_bits_as_public_arithmetic(self, g, reflected):
+        # the word and its association order spelled with the public types
+        r = polygon_rep(g, reflected)
+        P = Mat2.identity()
+        total = None
+        for A, B in zip(r.gens_a, r.gens_b):
+            P = P @ A @ B @ A.inv() @ B.inv()
+            ta, tb = lift(A), lift(B)
+            comm = cover_mul(cover_mul(ta, tb), cover_mul(cover_inv(ta), cover_inv(tb)))
+            total = comm if total is None else cover_mul(total, comm)
+        assert relation_product(r) == P
+        assert toledo(r).raw == total.phi_i.imag / math.pi
+
+    def test_relation_product_is_mat2(self, octagon_rep):
+        assert isinstance(relation_product(octagon_rep), Mat2)
 
 
 class TestChecks:

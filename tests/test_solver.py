@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,16 @@ class TestSolve:
     def test_genus_validated(self):
         with pytest.raises(ValueError):
             solve(0)
+
+    def test_overflowing_trials_are_counted_not_leaked(self, capsys):
+        # seed 2 at genus 5 tries steps whose residual overflows to inf/NaN
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            r = solve(5, seed=2, verbose=True)
+        assert relation_residual(r) <= 1e-6
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last == "nonfinite_trials 3"
 
     def test_verbose_trace_goes_to_stderr(self, capsys):
         solve(1, seed=3, verbose=True)

@@ -9,7 +9,7 @@ import argparse
 import math
 
 from fuchsian.halfplane import HPoint, classify, hyp_distance
-from fuchsian.polygons import interior_angles, polygon_area, polygon_area_numeric, regular_polygon, side_pairings
+from fuchsian.polygons import interior_angles, polygon_area, regular_polygon, side_pairings
 from fuchsian.reps import branch_independence_check, reflect_conjugate, relation_residual, toledo
 from fuchsian.solver import jacobian_rank
 
@@ -27,8 +27,7 @@ def main():
     print(f"  angle sum:      {sum(angles):.15f}  (target {2 * math.pi:.15f})")
     print(f"  circumradius:   {hyp_distance(HPoint(0.0, 1.0), poly.vertices[0]):.15f}")
     print(f"  area (defect):  {polygon_area(poly):.15f}")
-    print(f"  area (numeric): {polygon_area_numeric(poly):.15f}")
-    print(f"  2*pi*(2g-2):    {2 * math.pi * (2 * g - 2):.15f}")
+    print(f"  2*pi*(2g-2):    {2 * math.pi * (2 * g - 2):.15f}  (Gauss-Bonnet)")
 
     rep = side_pairings(poly)
     print(f"side pairings: {2 * g} generators, classes "

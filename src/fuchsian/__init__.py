@@ -49,7 +49,6 @@ from .polygons import (
     PairingFailed,
     interior_angles,
     polygon_area,
-    polygon_area_numeric,
     regular_polygon,
     side_pairings,
 )

@@ -6,6 +6,9 @@ tolerance for check-relation), 2 non-integral invariant, 3 relation
 violated, 64 argument errors, including an unreadable or malformed input
 file and values outside a command's domain.  Every nonzero exit after
 argument parsing prints one `error ...` line on stderr.
+
+Only `solve` and `dim-check` import the numpy-backed solver, so the other
+commands start without loading numpy.
 """
 from __future__ import annotations
 
@@ -13,10 +16,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import polygons, repfile, solver, tiling
+from . import polygons, repfile, tiling
 from .euclidean import LatticeGroup, reduce_point
 from .halfplane import Mat2, classify_detailed
 from .reps import (
+    SOLVE_TOL,
     NonIntegral,
     RelationViolated,
     branch_independence_check,
@@ -29,6 +33,8 @@ EXIT_NO_CONVERGENCE = 1
 EXIT_NON_INTEGRAL = 2
 EXIT_RELATION_VIOLATED = 3
 EXIT_USAGE = 64
+
+MAX_TILE_DEPTH = 5  # each level multiplies the SVG about 7-fold; depth 5 is 21,506 tiles
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", required=True)
     c.add_argument("--max-iter", type=int, default=500)
-    c.add_argument("--tol", type=float, default=solver.SOLVE_TOL)
+    c.add_argument("--tol", type=float, default=SOLVE_TOL)
     c.add_argument("--verbose", action="store_true")
 
     c = sub.add_parser("dim-check", help="numerical rank and dimension counts")
@@ -90,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("tile", help="SVG orbit of the fundamental polygon")
     c.add_argument("--genus", type=int, required=True)
-    c.add_argument("--depth", type=int, default=2)
+    c.add_argument("--depth", type=int, default=2,
+                   help=f"word length bound, 0 to {MAX_TILE_DEPTH}")
     c.add_argument("--out", required=True)
 
     c = sub.add_parser("euclid-reduce", help="reduce a point into the lattice cell")
@@ -147,6 +154,8 @@ def _cmd_fuchsian_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from . import solver
+
     try:
         rep = solver.solve(
             args.genus,
@@ -167,6 +176,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_dim_check(args) -> int:
+    from . import solver
+
     rep = repfile.read_rep_file(args.infile)
     rank = solver.jacobian_rank(rep)
     g = rep.genus
@@ -192,6 +203,8 @@ def _cmd_polygon(args) -> int:
 
 
 def _cmd_tile(args) -> int:
+    if not 0 <= args.depth <= MAX_TILE_DEPTH:
+        raise ValueError(f"tile depth {args.depth} is outside 0..{MAX_TILE_DEPTH}")
     poly = polygons.regular_polygon(args.genus)
     rep = polygons.side_pairings(poly)
     svg = tiling.render_tiling(poly, rep, args.depth)

@@ -4,12 +4,13 @@ For genus g >= 2 there is a regular 4g-gon whose interior angles sum to
 2*pi; gluing its sides in the pattern a1 b1 a1' b1' a2 b2 a2' b2' ...
 (primes are reversed traversals, read counterclockwise) produces a closed
 genus-g surface, and the gluing isometries generate a Fuchsian group.  The
-polygon is found in the unit-disk model, where the regular polygon around 0
+polygon is built in the unit-disk model, where the regular polygon around 0
 is rotationally symmetric, and transported to the half-plane around i.
 
-The circumradius is solved by bisection: the interior angle of the regular
-n-gon decreases monotonically from its flat value pi - 2*pi/n toward 0 as
-the circumradius grows, so the bracket is certified.
+The circumradius R has a closed form: the regular n-gon with interior angle
+alpha has cosh R = cot(alpha/2) cot(pi/n), which for n = 4g and
+alpha = 2*pi/n is cot^2(pi/(4g)) (Beardon, The Geometry of Discrete Groups,
+GTM 91).  The vertices sit at disk radius tanh(R/2).
 """
 from __future__ import annotations
 
@@ -36,10 +37,6 @@ class GenusTooSmall(ValueError):
 
 class PairingFailed(RuntimeError):
     """A constructed pairing does not carry its source side onto its target."""
-
-
-def _to_disk(z: complex) -> complex:
-    return (z - 1j) / (z + 1j)
 
 
 def _from_disk(w: complex) -> complex:
@@ -107,29 +104,19 @@ def _vertices_at_radius(r: float, n: int) -> list[HPoint]:
     ]
 
 
+def _disk_radius(g: int) -> float:
+    """tanh(R/2) for the regular 4g-gon, where cosh R = cot^2(pi/(4g))."""
+    cot = 1.0 / math.tan(math.pi / (4 * g))
+    return math.tanh(0.5 * math.acosh(cot * cot))
+
+
 def regular_polygon(g: int) -> HyperbolicPolygon:
     """The regular 4g-gon centered at i with interior angle 2*pi/(4g)."""
     if g < 2:
         raise GenusTooSmall(
             f"genus {g}: angle sum 2*pi needs area (4g-4)*pi > 0, so g >= 2"
         )
-    n = 4 * g
-    target = 2.0 * math.pi / n
-
-    def angle_at(r: float) -> float:
-        vs = _vertices_at_radius(r, n)
-        return _triangle_angle(vs[1], vs[0], vs[2])
-
-    lo, hi = 1e-3, 1.0 - 1e-12  # angle(lo) ~ flat value > target > angle(hi) ~ 0
-    while hi - lo > 1e-16:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # bracket has collapsed to adjacent doubles
-        if angle_at(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return HyperbolicPolygon(tuple(_vertices_at_radius(0.5 * (lo + hi), n)), g)
+    return HyperbolicPolygon(tuple(_vertices_at_radius(_disk_radius(g), 4 * g)), g)
 
 
 def polygon_area(p) -> float:
@@ -141,65 +128,6 @@ def polygon_area(p) -> float:
     vertices = p.vertices if isinstance(p, HyperbolicPolygon) else tuple(p)
     angles = interior_angles(vertices)
     return (len(vertices) - 2) * math.pi - sum(angles)
-
-
-def _orthocircle_center(w1: complex, w2: complex) -> "complex | None":
-    # circle through w1, w2 orthogonal to the unit circle: |C|^2 = R^2 + 1
-    det = 2.0 * (w1.real * w2.imag - w1.imag * w2.real)
-    if abs(det) < 1e-13:
-        return None  # the geodesic is a diameter
-    r1 = abs(w1) ** 2 + 1.0
-    r2 = abs(w2) ** 2 + 1.0
-    cx = (r1 * w2.imag - r2 * w1.imag) / det
-    cy = (r2 * w1.real - r1 * w2.real) / det
-    return complex(cx, cy)
-
-
-def _simpson(f, n: int) -> float:
-    # composite Simpson on [0, 1]; n intervals, forced even
-    if n % 2:
-        n += 1
-    h = 1.0 / n
-    total = f(0.0) + f(1.0)
-    total += 4.0 * sum(f((2 * i + 1) * h) for i in range(n // 2))
-    total += 2.0 * sum(f(2 * i * h) for i in range(1, n // 2))
-    return total * h / 3.0
-
-
-def polygon_area_numeric(p, subdiv: int = 2000) -> float:
-    """Quadrature oracle for the area, independent of the angle-defect formula.
-
-    Works in the disk model recentered at the vertex mean: the polygon is
-    starlike there, so it splits into the triangles (0, w_k, w_{k+1}) and
-    each triangle is an angular sector bounded by its side's geodesic circle.
-    The radial integral of the area form has the closed form
-    2/(1 - rho^2) - 2, leaving one angular quadrature per side.
-    """
-    vertices = p.vertices if isinstance(p, HyperbolicPolygon) else tuple(p)
-    disk = [_to_disk(v.z) for v in vertices]
-    m = sum(disk) / len(disk)
-    u = [(w - m) / (1.0 - m.conjugate() * w) for w in disk]
-
-    total = 0.0
-    n = len(u)
-    for k in range(n):
-        w1, w2 = u[k], u[(k + 1) % n]
-        th1 = cmath.phase(w1)
-        dth = (cmath.phase(w2) - th1 + math.pi) % (2.0 * math.pi) - math.pi
-        if abs(dth) < 1e-14:
-            continue
-        C = _orthocircle_center(w1, w2)
-        if C is None:
-            continue  # degenerate sector through the center: zero area
-
-        def sector(t: float) -> float:
-            phi = th1 + t * dth
-            beta = C.real * math.cos(phi) + C.imag * math.sin(phi)
-            rho = beta - math.sqrt(max(beta * beta - 1.0, 0.0))
-            return 2.0 / (1.0 - rho * rho) - 2.0
-
-        total += dth * _simpson(sector, subdiv)
-    return total
 
 
 def _move_to_i(p: HPoint) -> Mat2:

@@ -31,6 +31,7 @@ _EYE = (1.0, 0.0, 0.0, 1.0)
 _MINUS_EYE = (-1.0, -0.0, -0.0, -1.0)
 
 REL_TOL = 1e-6         # relation residual for a representation to count as valid
+SOLVE_TOL = 1e-14      # solver target: squared Frobenius norm of the product minus I
 NONINTEGRAL_TOL = 1e-3  # raw invariant farther than this from the lattice is an error
 WARN_TOL = 1e-6         # ... farther than this is merely suspicious
 

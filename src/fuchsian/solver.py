@@ -13,24 +13,23 @@ are done in one batched matrix pipeline.
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .halfplane import Mat2
-from .reps import Representation
+from .reps import SOLVE_TOL, Representation
 
 FD_STEP = 1e-6
-SOLVE_TOL = 1e-14   # squared Frobenius norm of P - I
-RANK_REL_CUTOFF = 1e-6
-# singular values below the finite-difference noise floor are numerically zero
-# even when they dominate sigma_max (e.g. at the trivial representation)
-RANK_NOISE_FLOOR = 1e-8
+# a generator within this relative distance of +-I counts as central, and one
+# whose commutator with the pivot direction is this small (relative) commutes
+CENTRALIZER_TOL = 1e-9
 
 
 class DidNotConverge(RuntimeError):
-    """Gauss-Newton hit the iteration or damping limit; reseed and retry."""
+    """Gauss-Newton hit the iteration limit or stalled; reseed and retry."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,11 +145,15 @@ def refine(
     decrease the residual, divide by 10 when it succeeds.  A trial step whose
     residual overflows to inf or NaN is rejected like any other failed step
     and counted; numpy's overflow warnings are silenced for the whole solve,
-    because every non-finite value is handled here.
+    because every non-finite value is handled here.  DidNotConverge names the
+    stop: `max_iter` when the iterations run out, `stalled` when no damping
+    up to 1e14 lowers the residual.
     """
     vals = np.array(vals, dtype=float)
     lam = 1e-3
     nonfinite = 0
+    iterations = 0
+    stop = "max_iter"
     with np.errstate(over="ignore", invalid="ignore"):
         f = residual(vals)
         for it in range(max_iter):
@@ -158,6 +161,7 @@ def refine(
                 print(f"iter {it} residual {f:.6e} damping {lam:.1e}", file=sys.stderr)
             if f <= tol:
                 break
+            iterations += 1
             gap = relation_gap(vals)
             J = relation_jacobian(vals, step=fd_step)
             JtJ = J.T @ J
@@ -183,13 +187,14 @@ def refine(
                 if lam > 1e14:
                     break
             if not accepted:
+                stop = "stalled"
                 break
     if verbose:
         print(f"nonfinite_trials {nonfinite}", file=sys.stderr)
     if f <= tol:
         return vals
     raise DidNotConverge(
-        f"residual {f:.3e} after {max_iter} iterations (tol {tol:.1e}, "
+        f"{stop}: residual {f:.3e} after {iterations} iterations (tol {tol:.1e}, "
         f"{nonfinite} non-finite trial steps rejected)"
     )
 
@@ -213,19 +218,30 @@ def solve(
     return rep_from_coords(RepCoords(genus, vals))
 
 
-def jacobian_rank(
-    r: Representation,
-    step: float = FD_STEP,
-    rel_cutoff: float = RANK_REL_CUTOFF,
-    noise_floor: float = RANK_NOISE_FLOOR,
-) -> int:
-    """Numerical rank of the relation Jacobian at a representation.
+def jacobian_rank(r: Representation) -> int:
+    """Rank of the relation Jacobian at a representation: 3 - dim z(rho).
 
-    Rank 3 at a smooth point makes the variety dimension 6g - 3 there, and
-    6g - 6 after dividing out conjugation.
+    The centralizer z(rho) of the image in sl(2,R) has dimension 3 when every
+    generator is +-I, 1 when the image is abelian but not central, and 0
+    otherwise (Goldman, "The symplectic nature of fundamental groups of
+    surfaces", 1984).  The centralizer of a non-central element is abelian, so
+    the image is abelian exactly when every generator commutes with the
+    traceless part of the generator farthest from +-I.  Rank 3 at a smooth
+    point makes the variety dimension 6g - 3 there, and 6g - 6 after dividing
+    out conjugation.
     """
-    coords = coords_from_rep(r)
-    J = relation_jacobian(coords.values, step=step)
-    sigma = np.linalg.svd(J, compute_uv=False)
-    cutoff = max(rel_cutoff * float(sigma.max(initial=0.0)), noise_floor)
-    return int(np.sum(sigma > cutoff))
+    gens = [(M.a, M.b, M.c, M.d) for M in (*r.gens_a, *r.gens_b)]
+    # traceless part (x, y, z) = (x, y; z, -x); halving first keeps a - d finite
+    parts = [(0.5 * a - 0.5 * d, b, c) for a, b, c, d in gens]
+    sizes = [math.hypot(*m) for m in gens]
+    norms = [math.hypot(x, x, y, z) for x, y, z in parts]
+    k = max(range(len(gens)), key=lambda i: norms[i] / sizes[i])
+    if not norms[k] > CENTRALIZER_TOL * sizes[k]:
+        return 0
+    x0, y0, z0 = (t / norms[k] for t in parts[k])
+    for (x, y, z), n in zip(parts, sizes):
+        # the commutator with (x0, y0; z0, -x0), a traceless matrix again
+        h = y * z0 - z * y0
+        if math.hypot(h, h, 2.0 * (x * y0 - y * x0), 2.0 * (z * x0 - x * z0)) > CENTRALIZER_TOL * n:
+            return 3
+    return 2

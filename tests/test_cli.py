@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import fuchsian
 from fuchsian.cli import run
 from fuchsian.halfplane import scaling, Mat2
 from fuchsian.repfile import format_rep, parse_rep, read_rep_file, write_rep_file
@@ -104,6 +107,14 @@ def test_dim_check(tmp_path, capsys):
     assert out["dim_moduli"] == "6"
 
 
+def test_dim_check_rank_three_at_genus_20(tmp_path, capsys):
+    path = tmp_path / "rep.txt"
+    run(["fuchsian-gen", "--genus", "20", "--out", str(path)])
+    capsys.readouterr()
+    assert run(["dim-check", "--in", str(path)]) == 0
+    assert kv(capsys.readouterr().out)["rank"] == "3"
+
+
 def test_polygon_command(tmp_path, capsys):
     path = tmp_path / "poly.txt"
     assert run(["polygon", "--genus", "3", "--out", str(path)]) == 0
@@ -122,6 +133,17 @@ def test_tile_command(tmp_path, capsys):
     assert root.tag.endswith("svg")
     paths = [el for el in root.iter() if el.tag.endswith("path")]
     assert len(paths) == int(out["tiles"]) > 1
+
+
+@pytest.mark.parametrize("depth", ["-1", "6"])
+def test_tile_depth_out_of_range_exits_64(depth, tmp_path, capsys):
+    path = tmp_path / "tiling.svg"
+    assert run(["tile", "--genus", "2", f"--depth={depth}", "--out", str(path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error ")
+    assert not path.exists()
 
 
 def test_euclid_reduce_command(capsys):
@@ -177,3 +199,31 @@ def test_bad_input_exits_64_with_one_error_line(argv, tmp_path, monkeypatch, cap
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error ")
+
+
+def test_commands_without_solver_leave_numpy_unloaded(tmp_path):
+    # each command runs in a fresh interpreter that then reports whether it loaded numpy
+    probe = (
+        "import sys\n"
+        "from fuchsian.cli import run\n"
+        "code = run(sys.argv[1:])\n"
+        "print('numpy_loaded', 'numpy' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    commands = [
+        ["fuchsian-gen", "--genus", "2", "--out", "gen.rep"],
+        ["toledo", "--in", "gen.rep"],
+        ["check-relation", "--in", "gen.rep"],
+        ["tile", "--genus", "2", "--depth", "1", "--out", "tile.svg"],
+        ["classify", "--matrix", "2,1,1,1"],
+        ["euclid-reduce", "--a", "1,0", "--b", "0,1", "--p", "2.5,-0.75"],
+    ]
+    src = str(Path(fuchsian.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "numpy_loaded False", argv

@@ -17,13 +17,14 @@ from fuchsian.polygons import (
     HyperbolicPolygon,
     PairingFailed,
     _certify,
+    _disk_radius,
     interior_angles,
     polygon_area,
-    polygon_area_numeric,
     regular_polygon,
     side_pairings,
 )
 from fuchsian.reps import relation_product, relation_residual, toledo
+from oracles import bisection_radius, polygon_area_numeric
 
 I = HPoint(0.0, 1.0)
 
@@ -65,6 +66,13 @@ class TestRegularPolygon:
         R = closed_form_circumradius(g)
         for v in p.vertices:
             assert abs(hyp_distance(I, v) - R) < 1e-9
+
+    def test_closed_form_radius_matches_bisection(self):
+        worst = max(
+            abs(_disk_radius(g) - bisection_radius(g)) / math.ulp(bisection_radius(g))
+            for g in range(2, 61)
+        )
+        assert worst <= 2.0
 
     @pytest.mark.parametrize("g", [0, 1])
     def test_small_genus_rejected(self, g):

@@ -6,7 +6,6 @@ from hypothesis import given
 from conftest import sl2_matrices
 from fuchsian.cover import cover_inv, cover_mul, lift
 from fuchsian.halfplane import Mat2, rotation, scaling
-from fuchsian.polygons import regular_polygon, side_pairings
 from fuchsian.repfile import format_rep, parse_rep, read_rep_file, write_rep_file
 from fuchsian.reps import (
     NonIntegral,
@@ -21,6 +20,7 @@ from fuchsian.reps import (
     toledo,
 )
 from fuchsian.solver import solve
+from oracles import bisection_rep
 
 
 def rotations_rep(genus, angles_a, angles_b):
@@ -103,7 +103,9 @@ class TestToledo:
 
 # (genus, reflected, value, psl_only, raw, kernel_matrix_residual,
 #  relation_residual) for the polygon representations, recorded with the
-# Mat2/CoverElement object arithmetic that preceded the tuple kernels.
+# Mat2/CoverElement object arithmetic that preceded the tuple kernels.  The
+# pins guard the kernels, so their input polygons come from the bisection
+# oracle that built the polygons when they were recorded.
 POLYGON_PINS = [
     (2, False, -2, False, -2.000000000000002, 2.5705383976014592e-14, 3.55566581897262e-14),
     (2, True, 2, False, 2.000000000000002, 2.5705383976014592e-14, 3.55566581897262e-14),
@@ -117,7 +119,7 @@ POLYGON_PINS = [
 
 
 def polygon_rep(genus, reflected):
-    r = side_pairings(regular_polygon(genus))
+    r = bisection_rep(genus)
     return reflect_conjugate(r) if reflected else r
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fuchsian.halfplane import Mat2, rotation, scaling
+from fuchsian.polygons import regular_polygon, side_pairings
 from fuchsian.reps import Representation, relation_residual, toledo
 from fuchsian.solver import (
     DidNotConverge,
@@ -19,6 +21,7 @@ from fuchsian.solver import (
     residual,
     solve,
 )
+from oracles import fd_svd_rank
 
 
 class TestCoordinates:
@@ -107,6 +110,15 @@ class TestSolve:
         with pytest.raises(DidNotConverge):
             solve(2, seed=0, max_iter=0)
 
+    def test_stall_is_named_with_the_iterations_run(self):
+        # seed 64734 finds no damped step below residual 6.8 at iteration 1
+        with pytest.raises(DidNotConverge, match=r"^stalled: residual 6\.818e\+00 after 2 iterations"):
+            solve(2, seed=64734)
+
+    def test_iteration_limit_is_named(self):
+        with pytest.raises(DidNotConverge, match=r"^max_iter: .* after 3 iterations"):
+            solve(2, seed=0, max_iter=3)
+
     def test_genus_validated(self):
         with pytest.raises(ValueError):
             solve(0)
@@ -128,12 +140,60 @@ class TestSolve:
         assert captured.out == ""
 
 
+def abelian_rep(genus, make):
+    # generators from one one-parameter family commute with each other
+    mats = [make(0.3 + 0.2 * k) for k in range(2 * genus)]
+    return Representation(genus, tuple(mats[0::2]), tuple(mats[1::2]))
+
+
+ABELIAN = {
+    "diagonal": lambda t: scaling(math.exp(t)),
+    "rotation": rotation,
+    "parabolic": lambda t: Mat2(1.0, t, 0.0, 1.0),
+}
+
+
 class TestJacobianRank:
     def test_octagon_rank_three(self, octagon_rep):
         assert jacobian_rank(octagon_rep) == 3
 
     def test_trivial_rep_rank_zero(self):
         assert jacobian_rank(Representation.trivial(2)) == 0
+
+    def test_plus_minus_identity_rank_zero(self):
+        eye, neg = Mat2.identity(), -Mat2.identity()
+        r = Representation(2, (neg, eye), (eye, neg))
+        assert jacobian_rank(r) == 0
+        assert fd_svd_rank(r) == 0
+
+    @pytest.mark.parametrize("kind", sorted(ABELIAN))
+    def test_abelian_rank_two(self, kind):
+        for genus in (1, 2, 3):
+            r = abelian_rep(genus, ABELIAN[kind])
+            assert jacobian_rank(r) == 2
+            assert fd_svd_rank(r) == 2
+
+    def test_polygon_reps_rank_three(self):
+        bad = [g for g in range(2, 101) if jacobian_rank(side_pairings(regular_polygon(g))) != 3]
+        assert bad == []
+
+    def test_agrees_with_fd_oracle_on_solves(self):
+        for genus in (2, 3):
+            reps = []
+            seed = 100
+            while len(reps) < 20:
+                try:
+                    reps.append(solve(genus, seed=seed))
+                except DidNotConverge:
+                    pass
+                seed += 1
+            assert [jacobian_rank(r) for r in reps] == [fd_svd_rank(r) for r in reps]
+
+    def test_agrees_with_fd_oracle_on_polygons(self):
+        # beyond g = 16 the oracle's relative cutoff misreads rank 3 as 2
+        for g in range(2, 17):
+            r = side_pairings(regular_polygon(g))
+            assert jacobian_rank(r) == fd_svd_rank(r) == 3
 
     def test_random_solutions_mostly_rank_three(self):
         ranks = [jacobian_rank(solve(2, seed=100 + s)) for s in range(20)]

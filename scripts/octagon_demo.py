@@ -10,8 +10,13 @@ import math
 
 from fuchsian.halfplane import HPoint, classify, hyp_distance
 from fuchsian.polygons import interior_angles, polygon_area, regular_polygon, side_pairings
-from fuchsian.reps import branch_independence_check, reflect_conjugate, relation_residual, toledo
-from fuchsian.solver import jacobian_rank
+from fuchsian.reps import (
+    branch_independence_check,
+    jacobian_rank,
+    reflect_conjugate,
+    relation_residual,
+    toledo,
+)
 
 
 def main():

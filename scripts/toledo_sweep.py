@@ -10,8 +10,8 @@ import argparse
 import collections
 import time
 
-from fuchsian.reps import reflect_conjugate, toledo
-from fuchsian.solver import DidNotConverge, jacobian_rank, solve
+from fuchsian.reps import jacobian_rank, reflect_conjugate, toledo
+from fuchsian.solver import DidNotConverge, solve
 
 
 def main():

@@ -7,8 +7,8 @@ violated, 64 argument errors, including an unreadable or malformed input
 file and values outside a command's domain.  Every nonzero exit after
 argument parsing prints one `error ...` line on stderr.
 
-Only `solve` and `dim-check` import the numpy-backed solver, so the other
-commands start without loading numpy.
+Only `solve` imports the numpy-backed solver, so the other commands start
+without loading numpy.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from .reps import (
     NonIntegral,
     RelationViolated,
     branch_independence_check,
+    jacobian_rank,
     relation_residual,
     toledo,
 )
@@ -129,7 +130,10 @@ def _cmd_check_relation(args) -> int:
     res = relation_residual(rep)
     print(f"residual {res:.17g}")
     print(f"tol {args.tol:.17g}")
-    return EXIT_OK if res <= args.tol else 1
+    if res <= args.tol:
+        return EXIT_OK
+    print(f"error relation residual {res:.3e} exceeds {args.tol:.1e}", file=sys.stderr)
+    return 1
 
 
 def _cmd_classify(args) -> int:
@@ -176,10 +180,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_dim_check(args) -> int:
-    from . import solver
-
     rep = repfile.read_rep_file(args.infile)
-    rank = solver.jacobian_rank(rep)
+    rank = jacobian_rank(rep)
     g = rep.genus
     print(f"rank {rank}")
     print(f"dim_variety {6 * g - 3}")

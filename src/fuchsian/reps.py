@@ -17,6 +17,7 @@ result carries a psl_only flag.
 """
 from __future__ import annotations
 
+import math
 import random
 import warnings
 from dataclasses import dataclass
@@ -34,6 +35,9 @@ REL_TOL = 1e-6         # relation residual for a representation to count as vali
 SOLVE_TOL = 1e-14      # solver target: squared Frobenius norm of the product minus I
 NONINTEGRAL_TOL = 1e-3  # raw invariant farther than this from the lattice is an error
 WARN_TOL = 1e-6         # ... farther than this is merely suspicious
+# a generator within this relative distance of +-I counts as central, and one
+# whose commutator with the pivot direction is this small (relative) commutes
+CENTRALIZER_TOL = 1e-9
 
 
 class RelationViolated(ValueError):
@@ -93,8 +97,46 @@ def relation_product(r: Representation) -> Mat2:
 
 
 def relation_residual(r: Representation) -> float:
-    """Frobenius distance of the commutator product to +-I (sign-tolerant)."""
-    return min(_distance_to_pm_eye(_relation_entries(r)))
+    """Frobenius distance of the commutator product to +-I (sign-tolerant).
+
+    inf when a partial product of the word cannot be renormalized onto
+    det = 1 (its entries overflow, or rounding drives its det to zero or
+    below): the relation cannot be verified for such generators.
+    """
+    try:
+        P = _relation_entries(r)
+    except ValueError:
+        return math.inf
+    return min(_distance_to_pm_eye(P))
+
+
+def jacobian_rank(r: Representation) -> int:
+    """Rank of the relation Jacobian at a representation: 3 - dim z(rho).
+
+    The centralizer z(rho) of the image in sl(2,R) has dimension 3 when every
+    generator is +-I, 1 when the image is abelian but not central, and 0
+    otherwise (Goldman, "The symplectic nature of fundamental groups of
+    surfaces", 1984).  The centralizer of a non-central element is abelian, so
+    the image is abelian exactly when every generator commutes with the
+    traceless part of the generator farthest from +-I.  Rank 3 at a smooth
+    point makes the variety dimension 6g - 3 there, and 6g - 6 after dividing
+    out conjugation.
+    """
+    gens = [(M.a, M.b, M.c, M.d) for M in (*r.gens_a, *r.gens_b)]
+    # traceless part (x, y, z) = (x, y; z, -x); halving first keeps a - d finite
+    parts = [(0.5 * a - 0.5 * d, b, c) for a, b, c, d in gens]
+    sizes = [math.hypot(*m) for m in gens]
+    norms = [math.hypot(x, x, y, z) for x, y, z in parts]
+    k = max(range(len(gens)), key=lambda i: norms[i] / sizes[i])
+    if not norms[k] > CENTRALIZER_TOL * sizes[k]:
+        return 0
+    x0, y0, z0 = (t / norms[k] for t in parts[k])
+    for (x, y, z), n in zip(parts, sizes):
+        # the commutator with (x0, y0; z0, -x0), a traceless matrix again
+        h = y * z0 - z * y0
+        if math.hypot(h, h, 2.0 * (x * y0 - y * x0), 2.0 * (z * x0 - x * z0)) > CENTRALIZER_TOL * n:
+            return 3
+    return 2
 
 
 @dataclass(frozen=True)

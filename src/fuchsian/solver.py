@@ -7,9 +7,13 @@ construction, so the variety lives in R^{6g}.  The relation map is treated
 as valued in R^3 through the entries (P00 - 1, P01, P10) of the commutator
 product; the remaining entry is dependent through det P = 1.
 
-The solver is damped Gauss-Newton with a central finite-difference Jacobian:
-the problem is tiny (3 equations, 6g unknowns), so all perturbed evaluations
-are done in one batched matrix pipeline.
+The solver is damped Gauss-Newton on Python floats.  One pass over the
+relation word builds its prefix and suffix products, which give the gap and
+the exact Jacobian by the product rule in O(g) 2x2 products.  With 3
+equations and 6g unknowns the damped step is taken through the 3x3 system
+(J J^T + lambda I) y = gap, delta = -J^T y, solved in closed form.  Iterates
+are unvalidated candidates, so their products are unchecked; the result is
+validated where rep_from_coords builds the representation.
 """
 from __future__ import annotations
 
@@ -20,12 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .halfplane import Mat2
-from .reps import SOLVE_TOL, Representation
+# jacobian_rank stays importable here: bench/tracer.py wraps it under this
+# name and bench/workloads.py calls it here.
+from .reps import SOLVE_TOL, Representation, jacobian_rank  # noqa: F401
 
-FD_STEP = 1e-6
-# a generator within this relative distance of +-I counts as central, and one
-# whose commutator with the pivot direction is this small (relative) commutes
-CENTRALIZER_TOL = 1e-9
+_EYE = (1.0, 0.0, 0.0, 1.0)
 
 
 class DidNotConverge(RuntimeError):
@@ -49,65 +52,179 @@ class RepCoords:
         object.__setattr__(self, "values", vals)
 
 
-def matrices_from_values(vals: np.ndarray) -> np.ndarray:
-    """(..., k, 3) coordinate rows to (..., k, 2, 2) determinant-one matrices."""
-    vals = np.asarray(vals, dtype=float)
-    th, s, u = vals[..., 0], vals[..., 1], vals[..., 2]
-    es = np.exp(s)
-    c, sn = np.cos(th), np.sin(th)
-    M = np.empty(vals.shape[:-1] + (2, 2))
-    M[..., 0, 0] = c * es
-    M[..., 0, 1] = c * es * u - sn / es
-    M[..., 1, 0] = sn * es
-    M[..., 1, 1] = sn * es * u + c / es
-    return M
+def _rows(vals) -> list:
+    """Coordinate rows as Python floats; lists pass through untouched."""
+    if isinstance(vals, RepCoords):
+        vals = vals.values
+    return vals if isinstance(vals, list) else np.asarray(vals, dtype=float).tolist()
 
 
-def _adjugate(M: np.ndarray) -> np.ndarray:
-    out = np.empty_like(M)
-    out[..., 0, 0] = M[..., 1, 1]
-    out[..., 0, 1] = -M[..., 0, 1]
-    out[..., 1, 0] = -M[..., 1, 0]
-    out[..., 1, 1] = M[..., 0, 0]
-    return out
+def _matrix(th: float, s: float, u: float) -> tuple:
+    """Entries (a, b, c, d) of rotation(th) diag(e^s, e^-s) ((1, u), (0, 1)).
+
+    math.exp raises OverflowError for s beyond about 709, and e^s underflows
+    to 0 (ZeroDivisionError) below about -745.
+    """
+    e = math.exp(s)
+    c, sn = math.cos(th), math.sin(th)
+    ce, se = c * e, sn * e
+    return (ce, ce * u - sn / e, se, se * u + c / e)
 
 
-def _relation_matrix(vals: np.ndarray) -> np.ndarray:
-    """Commutator product over the generators; vals is (..., 2g, 3)."""
-    mats = matrices_from_values(vals)
-    g = mats.shape[-3] // 2
-    P = None
-    for j in range(g):
-        A = mats[..., 2 * j, :, :]
-        B = mats[..., 2 * j + 1, :, :]
-        C = A @ B @ _adjugate(A) @ _adjugate(B)
-        P = C if P is None else P @ C
+def _mul(m: tuple, n: tuple) -> tuple:
+    # unchecked 2x2 product: iterates are validated only at the boundary
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _adj(m: tuple) -> tuple:
+    a, b, c, d = m
+    return (d, -b, -c, a)
+
+
+def _word(mats: list) -> list:
+    """The relation word A_1 B_1 A_1^-1 B_1^-1 ... as 4g letters."""
+    letters = []
+    for A, B in zip(mats[0::2], mats[1::2]):
+        letters += (A, B, _adj(A), _adj(B))
+    return letters
+
+
+def _product(rows: list) -> tuple:
+    P = _EYE
+    for L in _word([_matrix(*row) for row in rows]):
+        P = _mul(P, L)
     return P
 
 
-def relation_gap(vals: np.ndarray) -> np.ndarray:
-    """The three independent entries of P - I: (P00 - 1, P01, P10)."""
-    P = _relation_matrix(np.asarray(vals, dtype=float))
-    return np.stack([P[..., 0, 0] - 1.0, P[..., 0, 1], P[..., 1, 0]], axis=-1)
-
-
-def residual(coords: "RepCoords | np.ndarray") -> float:
-    """Squared Frobenius norm of the full commutator product minus I."""
-    vals = coords.values if isinstance(coords, RepCoords) else np.asarray(coords, float)
-    P = _relation_matrix(vals)
-    P = P - np.eye(2)
-    return float(np.sum(P * P))
-
-
-def relation_jacobian(vals: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Central-difference Jacobian of relation_gap, shape (3, 6g)."""
+def matrices_from_values(vals) -> np.ndarray:
+    """(..., k, 3) coordinate rows to (..., k, 2, 2) determinant-one matrices."""
     vals = np.asarray(vals, dtype=float)
-    n = vals.size
-    flat = vals.reshape(n)
-    eye = np.eye(n) * step
-    batch = np.concatenate([flat + eye, flat - eye], axis=0).reshape(2 * n, *vals.shape)
-    gaps = relation_gap(batch)
-    return ((gaps[:n] - gaps[n:]) / (2.0 * step)).T
+    mats = [_matrix(*row) for row in vals.reshape(-1, 3).tolist()]
+    return np.array(mats, dtype=float).reshape(vals.shape[:-1] + (2, 2))
+
+
+def relation_gap(vals) -> np.ndarray:
+    """The three independent entries of P - I: (P00 - 1, P01, P10)."""
+    P = _product(_rows(vals))
+    return np.array([P[0] - 1.0, P[1], P[2]])
+
+
+def residual(coords) -> float:
+    """Squared Frobenius norm of the full commutator product minus I.
+
+    inf when a generator's e^s overflows or underflows; NaN or inf when the
+    product does.
+    """
+    try:
+        a, b, c, d = _product(_rows(coords))
+    except ArithmeticError:
+        return math.inf
+    a, d = a - 1.0, d - 1.0
+    return a * a + b * b + c * c + d * d  # ** would raise OverflowError
+
+
+def _sandwich(Q: tuple, X: tuple, S: tuple) -> tuple:
+    """Entries (00, 01, 10) of Q X S."""
+    q0, q1, q2, q3 = Q
+    x0, x1, x2, x3 = X
+    t0, t1 = q0 * x0 + q1 * x2, q0 * x1 + q1 * x3
+    t2, t3 = q2 * x0 + q3 * x2, q2 * x1 + q3 * x3
+    s0, s1, s2, s3 = S
+    return (t0 * s0 + t1 * s2, t0 * s1 + t1 * s3, t2 * s0 + t3 * s2)
+
+
+def _linearize(rows: list) -> tuple:
+    """Gap and exact Jacobian columns at rows, from one pass over the word.
+
+    With prefix Q_k = L_1...L_{k-1} and suffix S_k = L_{k+1}...L_{4g}, a
+    generator M at letter k with its inverse at letter k' moves the product
+    by Q_k dM S_k + Q_{k'} adj(dM) S_{k'}: the adjugate is linear and is the
+    inverse on det = 1.  dM comes from the factorization in closed form.
+    """
+    word = _word([_matrix(*row) for row in rows])
+    pre = [_EYE]
+    for L in word:
+        pre.append(_mul(pre[-1], L))
+    suf = [_EYE]
+    for L in reversed(word):
+        suf.append(_mul(L, suf[-1]))
+    suf.reverse()  # suf[k] = L_k ... L_last, so S_k is suf[k + 1]
+    P = pre[-1]
+    gap = (P[0] - 1.0, P[1], P[2])
+
+    cols = []
+    for i, (th, s, u) in enumerate(rows):
+        k = 4 * (i // 2) + i % 2  # A_j sits at letter 4j, B_j at 4j + 1
+        e = math.exp(s)
+        c, sn = math.cos(th), math.sin(th)
+        ce, se = c * e, sn * e
+        d_th = (-se, -se * u - c / e, ce, ce * u - sn / e)
+        d_s = (ce, ce * u + sn / e, se, se * u - c / e)
+        d_u = (0.0, ce, 0.0, se)
+        for dM in (d_th, d_s, d_u):
+            x = _sandwich(pre[k], dM, suf[k + 1])
+            y = _sandwich(pre[k + 2], _adj(dM), suf[k + 3])
+            cols.append((x[0] + y[0], x[1] + y[1], x[2] + y[2]))
+    return gap, cols
+
+
+def relation_jacobian(vals, with_gap: bool = False):
+    """Exact Jacobian of relation_gap, shape (3, 6g); columns follow vals' rows.
+
+    With with_gap=True it returns (gap, columns) on Python floats instead: the
+    three gap entries and the 6g Jacobian columns, the form refine consumes.
+    """
+    gap, cols = _linearize(_rows(vals))
+    return (gap, cols) if with_gap else np.array(cols).T
+
+
+def _gram(cols: list) -> tuple:
+    """Upper triangle (g00, g01, g02, g11, g12, g22) of J J^T."""
+    g00 = g01 = g02 = g11 = g12 = g22 = 0.0
+    for x, y, z in cols:
+        g00 += x * x
+        g01 += x * y
+        g02 += x * z
+        g11 += y * y
+        g12 += y * z
+        g22 += z * z
+    return g00, g01, g02, g11, g12, g22
+
+
+def _damped_step(gram: tuple, cols: list, gap: tuple, lam: float) -> "list | None":
+    """delta = -J^T (J J^T + lam I)^-1 gap, or None for a singular system.
+
+    Equal to -(J^T J + lam I)^-1 J^T gap by the push-through identity, but
+    the system is 3x3 and symmetric positive definite, so a closed-form
+    Cholesky factorization solves it.  A pivot that is not positive (NaN
+    included) or a non-finite solution marks the system singular.
+    """
+    g00, g01, g02, g11, g12, g22 = gram
+    t = g00 + lam
+    if not t > 0.0:
+        return None
+    l00 = math.sqrt(t)
+    l10, l20 = g01 / l00, g02 / l00
+    t = g11 + lam - l10 * l10
+    if not t > 0.0:
+        return None
+    l11 = math.sqrt(t)
+    l21 = (g12 - l20 * l10) / l11
+    t = g22 + lam - l20 * l20 - l21 * l21
+    if not t > 0.0:
+        return None
+    l22 = math.sqrt(t)
+    w0 = gap[0] / l00
+    w1 = (gap[1] - l10 * w0) / l11
+    w2 = (gap[2] - l20 * w0 - l21 * w1) / l22
+    y2 = w2 / l22
+    y1 = (w1 - l21 * y2) / l11
+    y0 = (w0 - l10 * y1 - l20 * y2) / l00
+    if not (math.isfinite(y0) and math.isfinite(y1) and math.isfinite(y2)):
+        return None
+    return [-(x * y0 + y * y1 + z * y2) for x, y, z in cols]
 
 
 def coords_from_rep(r: Representation) -> RepCoords:
@@ -118,8 +235,8 @@ def coords_from_rep(r: Representation) -> RepCoords:
             norm2 = M.a * M.a + M.c * M.c
             rows.append(
                 (
-                    np.arctan2(M.c, M.a),
-                    0.5 * np.log(norm2),
+                    math.atan2(M.c, M.a),
+                    0.5 * math.log(norm2),
                     (M.a * M.b + M.c * M.d) / norm2,
                 )
             )
@@ -127,72 +244,81 @@ def coords_from_rep(r: Representation) -> RepCoords:
 
 
 def rep_from_coords(coords: RepCoords) -> Representation:
-    mats = matrices_from_values(coords.values)
-    gens = [Mat2.renormalized(*m.reshape(4)) for m in mats]
+    gens = [Mat2.renormalized(*_matrix(*row)) for row in _rows(coords)]
     return Representation(coords.genus, tuple(gens[0::2]), tuple(gens[1::2]))
 
 
 def refine(
-    vals: np.ndarray,
+    vals,
     max_iter: int = 500,
     tol: float = SOLVE_TOL,
-    fd_step: float = FD_STEP,
     verbose: bool = False,
 ) -> np.ndarray:
     """Drive the relation residual below tol by damped Gauss-Newton.
 
     Damping follows the usual schedule: multiply by 10 when a step fails to
     decrease the residual, divide by 10 when it succeeds.  A trial step whose
-    residual overflows to inf or NaN is rejected like any other failed step
-    and counted; numpy's overflow warnings are silenced for the whole solve,
-    because every non-finite value is handled here.  DidNotConverge names the
-    stop: `max_iter` when the iterations run out, `stalled` when no damping
-    up to 1e14 lowers the residual.
+    residual is inf or NaN (e^s overflowing included) is rejected like any
+    other failed step and counted; so is a damped system that is singular or
+    has a non-finite solution, without being counted as non-finite.
+    DidNotConverge names the stop: `max_iter` when the iterations run out,
+    `stalled` when no damping up to 1e14 lowers the residual.  With verbose,
+    stderr gets one line per iteration and then `key value` lines: stop,
+    iterations, accepted_steps, rejected_steps and, last, nonfinite_trials.
     """
-    vals = np.array(vals, dtype=float)
+    rows = [tuple(row) for row in _rows(vals)]
     lam = 1e-3
-    nonfinite = 0
-    iterations = 0
+    nonfinite = accepted_steps = rejected_steps = iterations = 0
     stop = "max_iter"
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = residual(vals)
-        for it in range(max_iter):
-            if verbose:
-                print(f"iter {it} residual {f:.6e} damping {lam:.1e}", file=sys.stderr)
-            if f <= tol:
-                break
-            iterations += 1
-            gap = relation_gap(vals)
-            J = relation_jacobian(vals, step=fd_step)
-            JtJ = J.T @ J
-            Jtg = J.T @ gap
-            n = JtJ.shape[0]
-            accepted = False
-            for _ in range(60):
-                try:
-                    delta = np.linalg.solve(JtJ + lam * np.eye(n), -Jtg)
-                except np.linalg.LinAlgError:
-                    lam *= 10.0
-                    continue
-                cand = vals + delta.reshape(vals.shape)
+    f = residual(rows)
+    for it in range(max_iter):
+        if verbose:
+            print(f"iter {it} residual {f:.6e} damping {lam:.1e}", file=sys.stderr)
+        if f <= tol:
+            break
+        if not math.isfinite(f):  # a start beyond floating range has no Jacobian
+            stop = "stalled"
+            break
+        iterations += 1
+        gap, cols = relation_jacobian(rows, with_gap=True)
+        gram = _gram(cols)
+        accepted = False
+        for _ in range(60):
+            delta = _damped_step(gram, cols, gap, lam)
+            if delta is not None:
+                cand = [
+                    (th + delta[3 * i], s + delta[3 * i + 1], u + delta[3 * i + 2])
+                    for i, (th, s, u) in enumerate(rows)
+                ]
                 f_cand = residual(cand)
-                if not np.isfinite(f_cand):
+                if not math.isfinite(f_cand):
                     nonfinite += 1
                 elif f_cand < f:
-                    vals, f = cand, f_cand
+                    rows, f = cand, f_cand
                     lam = max(lam / 10.0, 1e-14)
                     accepted = True
                     break
-                lam *= 10.0
-                if lam > 1e14:
-                    break
-            if not accepted:
-                stop = "stalled"
+            rejected_steps += 1
+            lam *= 10.0
+            if lam > 1e14:
                 break
-    if verbose:
-        print(f"nonfinite_trials {nonfinite}", file=sys.stderr)
+        if not accepted:
+            stop = "stalled"
+            break
+        accepted_steps += 1
     if f <= tol:
-        return vals
+        stop = "converged"
+    if verbose:
+        for key, value in (
+            ("stop", stop),
+            ("iterations", iterations),
+            ("accepted_steps", accepted_steps),
+            ("rejected_steps", rejected_steps),
+            ("nonfinite_trials", nonfinite),
+        ):
+            print(f"{key} {value}", file=sys.stderr)
+    if f <= tol:
+        return np.array(rows, dtype=float)
     raise DidNotConverge(
         f"{stop}: residual {f:.3e} after {iterations} iterations (tol {tol:.1e}, "
         f"{nonfinite} non-finite trial steps rejected)"
@@ -216,32 +342,3 @@ def solve(
     start = rng.uniform(-1.0, 1.0, size=(2 * genus, 3))
     vals = refine(start, max_iter=max_iter, tol=tol, verbose=verbose)
     return rep_from_coords(RepCoords(genus, vals))
-
-
-def jacobian_rank(r: Representation) -> int:
-    """Rank of the relation Jacobian at a representation: 3 - dim z(rho).
-
-    The centralizer z(rho) of the image in sl(2,R) has dimension 3 when every
-    generator is +-I, 1 when the image is abelian but not central, and 0
-    otherwise (Goldman, "The symplectic nature of fundamental groups of
-    surfaces", 1984).  The centralizer of a non-central element is abelian, so
-    the image is abelian exactly when every generator commutes with the
-    traceless part of the generator farthest from +-I.  Rank 3 at a smooth
-    point makes the variety dimension 6g - 3 there, and 6g - 6 after dividing
-    out conjugation.
-    """
-    gens = [(M.a, M.b, M.c, M.d) for M in (*r.gens_a, *r.gens_b)]
-    # traceless part (x, y, z) = (x, y; z, -x); halving first keeps a - d finite
-    parts = [(0.5 * a - 0.5 * d, b, c) for a, b, c, d in gens]
-    sizes = [math.hypot(*m) for m in gens]
-    norms = [math.hypot(x, x, y, z) for x, y, z in parts]
-    k = max(range(len(gens)), key=lambda i: norms[i] / sizes[i])
-    if not norms[k] > CENTRALIZER_TOL * sizes[k]:
-        return 0
-    x0, y0, z0 = (t / norms[k] for t in parts[k])
-    for (x, y, z), n in zip(parts, sizes):
-        # the commutator with (x0, y0; z0, -x0), a traceless matrix again
-        h = y * z0 - z * y0
-        if math.hypot(h, h, 2.0 * (x * y0 - y * x0), 2.0 * (z * x0 - x * z0)) > CENTRALIZER_TOL * n:
-            return 3
-    return 2

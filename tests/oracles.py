@@ -2,8 +2,8 @@
 
 Each oracle computes a quantity the package also computes, by an
 independent route: the polygon radius by bisection on the interior angle,
-the polygon area by quadrature, and the relation Jacobian's rank from the
-singular values of its finite-difference approximation.
+the polygon area by quadrature, and the relation Jacobian by central
+finite differences (with its rank from the singular values).
 """
 import cmath
 import math
@@ -16,7 +16,9 @@ from fuchsian.polygons import (
     _vertices_at_radius,
     side_pairings,
 )
-from fuchsian.solver import coords_from_rep, relation_jacobian
+from fuchsian.solver import coords_from_rep, matrices_from_values
+
+FD_STEP = 1e-6
 
 
 def bisection_radius(g: int) -> float:
@@ -51,6 +53,27 @@ def bisection_rep(g: int):
     return side_pairings(HyperbolicPolygon(tuple(vertices), g))
 
 
+def _batched_gap(vals: np.ndarray) -> np.ndarray:
+    # the relation product with numpy inverses, batched over leading axes
+    mats = matrices_from_values(vals)
+    P = np.eye(2)
+    for j in range(mats.shape[-3] // 2):
+        A, B = mats[..., 2 * j, :, :], mats[..., 2 * j + 1, :, :]
+        P = P @ A @ B @ np.linalg.inv(A) @ np.linalg.inv(B)
+    return np.stack([P[..., 0, 0] - 1.0, P[..., 0, 1], P[..., 1, 0]], axis=-1)
+
+
+def fd_relation_jacobian(vals, step: float = FD_STEP) -> np.ndarray:
+    """Central-difference Jacobian of the relation gap, shape (3, 6g)."""
+    vals = np.asarray(vals, dtype=float)
+    n = vals.size
+    eye = np.eye(n) * step
+    flat = vals.reshape(n)
+    batch = np.concatenate([flat + eye, flat - eye]).reshape(2 * n, *vals.shape)
+    gaps = _batched_gap(batch)
+    return ((gaps[:n] - gaps[n:]) / (2.0 * step)).T
+
+
 def fd_svd_rank(r, rel_cutoff: float = 1e-6, noise_floor: float = 1e-8) -> int:
     """Numerical rank of the central-difference relation Jacobian.
 
@@ -59,7 +82,7 @@ def fd_svd_rank(r, rel_cutoff: float = 1e-6, noise_floor: float = 1e-8) -> int:
     relative cutoff misreads polygon representations from g = 17 on, where
     the columns are scaled by up to g^4.
     """
-    J = relation_jacobian(coords_from_rep(r).values)
+    J = fd_relation_jacobian(coords_from_rep(r).values)
     sigma = np.linalg.svd(J, compute_uv=False)
     cutoff = max(rel_cutoff * float(sigma.max(initial=0.0)), noise_floor)
     return int(np.sum(sigma > cutoff))

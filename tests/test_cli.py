@@ -8,7 +8,7 @@ import pytest
 
 import fuchsian
 from fuchsian.cli import run
-from fuchsian.halfplane import scaling, Mat2
+from fuchsian.halfplane import rotation, scaling, Mat2
 from fuchsian.repfile import format_rep, parse_rep, read_rep_file, write_rep_file
 from fuchsian.reps import Representation, relation_residual, toledo
 
@@ -72,6 +72,22 @@ def test_check_relation_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     write_rep_file(bad, Representation(1, (scaling(2.0),), (Mat2(1.0, 1.0, 0.0, 1.0),)))
     assert run(["check-relation", "--in", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("command, code", [("check-relation", 1), ("toledo", 3)])
+def test_unrenormalizable_word_exits_with_one_error_line(command, code, tmp_path):
+    # a valid file whose relation word cannot be renormalized (det -128 at 7 handles)
+    path = tmp_path / "seven.rep"
+    write_rep_file(path, Representation(7, (scaling(20.0),) * 7, (rotation(0.7),) * 7))
+    src = str(Path(fuchsian.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fuchsian", command, "--in", str(path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == code
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error relation residual inf"), proc.stderr
 
 
 def test_classify_command(capsys):
@@ -214,6 +230,7 @@ def test_commands_without_solver_leave_numpy_unloaded(tmp_path):
         ["fuchsian-gen", "--genus", "2", "--out", "gen.rep"],
         ["toledo", "--in", "gen.rep"],
         ["check-relation", "--in", "gen.rep"],
+        ["dim-check", "--in", "gen.rep"],
         ["tile", "--genus", "2", "--depth", "1", "--out", "tile.svg"],
         ["classify", "--matrix", "2,1,1,1"],
         ["euclid-reduce", "--a", "1,0", "--b", "0,1", "--p", "2.5,-0.75"],

@@ -46,6 +46,13 @@ class TestRelationResidual:
         with pytest.raises(ValueError):
             Representation(2, (Mat2.identity(),), (Mat2.identity(),))
 
+    def test_unrenormalizable_word_is_inf(self):
+        # rounding drives a partial product's det negative (-128) at 7 handles
+        r = Representation(7, (scaling(20.0),) * 7, (rotation(0.7),) * 7)
+        assert relation_residual(r) == math.inf
+        with pytest.raises(RelationViolated, match="residual inf"):
+            toledo(r)
+
     def test_genus_must_be_positive(self):
         with pytest.raises(ValueError):
             Representation(0, (), ())

@@ -6,22 +6,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fuchsian import solver
 from fuchsian.halfplane import Mat2, rotation, scaling
 from fuchsian.polygons import regular_polygon, side_pairings
 from fuchsian.reps import Representation, relation_residual, toledo
 from fuchsian.solver import (
     DidNotConverge,
     RepCoords,
+    _damped_step,
+    _gram,
     coords_from_rep,
     jacobian_rank,
     matrices_from_values,
     refine,
+    relation_gap,
     relation_jacobian,
     rep_from_coords,
     residual,
     solve,
 )
-from oracles import fd_svd_rank
+from oracles import fd_relation_jacobian, fd_svd_rank
 
 
 class TestCoordinates:
@@ -224,3 +228,135 @@ def _try(genus, seed):
         return True
     except DidNotConverge:
         return False
+
+
+def _random_vals(genus, rng):
+    return rng.uniform(-1.0, 1.0, size=(2 * genus, 3))
+
+
+def kv_lines(text):
+    return dict(line.split(" ", 1) for line in text.strip().splitlines())
+
+
+class TestExactJacobian:
+    @pytest.mark.parametrize("genus", [1, 2, 3, 5])
+    def test_matches_fd_oracle_at_random_points(self, genus):
+        rng = np.random.default_rng(70 + genus)
+        for _ in range(5):
+            vals = _random_vals(genus, rng)
+            J = relation_jacobian(vals)
+            assert J.shape == (3, 6 * genus)
+            err = np.max(np.abs(J - fd_relation_jacobian(vals)))
+            assert err <= 1e-6 * max(1.0, np.linalg.norm(J))
+
+    @pytest.mark.parametrize("genus", [2, 3])
+    def test_matches_fd_oracle_on_polygons(self, genus):
+        vals = coords_from_rep(side_pairings(regular_polygon(genus))).values
+        J = relation_jacobian(vals)
+        err = np.max(np.abs(J - fd_relation_jacobian(vals)))
+        assert err <= 1e-6 * max(1.0, np.linalg.norm(J))
+
+    def test_gap_comes_from_the_same_pass(self):
+        vals = _random_vals(2, np.random.default_rng(8))
+        gap, cols = relation_jacobian(vals, with_gap=True)
+        assert np.array_equal(np.array(gap), relation_gap(vals))
+        assert np.array_equal(np.array(cols).T, relation_jacobian(vals))
+        # the residual adds the dependent entry (P11 - 1)^2 to the gap's squares
+        assert residual(vals) >= float(np.sum(np.array(gap) ** 2))
+
+
+class TestDampedStep:
+    # delta = -J^T (J J^T + lam I)^-1 gap must be the step of the 6g x 6g
+    # damped normal equations (J^T J + lam I) delta = -J^T gap
+    @pytest.mark.parametrize("lam", [1e-14, 1e-3, 1e3])
+    @pytest.mark.parametrize("genus", [1, 2, 3, 5])
+    def test_solves_the_full_normal_equations(self, genus, lam):
+        rng = np.random.default_rng(90 + genus)
+        for _ in range(3):
+            vals = _random_vals(genus, rng)
+            gap, cols = relation_jacobian(vals, with_gap=True)
+            delta = np.array(_damped_step(_gram(cols), cols, gap, lam))
+            J, g = np.array(cols).T, np.array(gap)
+            K = J.T @ J + lam * np.eye(J.shape[1])
+            # backward error of the 6g x 6g system
+            res = np.linalg.norm(K @ delta + J.T @ g)
+            assert res <= 1e-10 * (np.linalg.norm(K, 2) * np.linalg.norm(delta) + np.linalg.norm(J.T @ g))
+            # forward error against the same solution through the SVD of J,
+            # -V diag(sigma / (sigma^2 + lam)) U^T gap, which stays accurate
+            # where K itself has condition number near 1e16 (lam = 1e-14)
+            U, sigma, Vt = np.linalg.svd(J, full_matrices=False)
+            ref = -(Vt.T @ (sigma / (sigma * sigma + lam) * (U.T @ g)))
+            assert np.linalg.norm(delta - ref) <= 1e-10 * np.linalg.norm(ref)
+            if lam >= 1.0:  # K is well conditioned, so LU on it is a sound reference
+                ref = np.linalg.solve(K, -J.T @ g)
+                assert np.linalg.norm(delta - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_non_finite_system_is_refused(self):
+        cols = [(math.inf, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+        assert _damped_step(_gram(cols), cols, (1.0, 1.0, 1.0), 1e-3) is None
+        cols = [(math.nan, 0.0, 0.0)] * 3
+        assert _damped_step(_gram(cols), cols, (1.0, 1.0, 1.0), 1e-3) is None
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("s", [800.0, -800.0, 300.0])
+    def test_residual_is_inf_not_raised(self, s):
+        # e^s overflows (800), underflows to 0 (-800), or the product does (300)
+        vals = np.array([[0.0, s, 0.0], [0.4, 0.1, 0.2]])
+        assert residual(vals) == math.inf
+
+    def test_overflowing_trial_is_counted_not_raised(self, monkeypatch, capsys):
+        # a gap scaled by 1e6 at the first iteration sends the first trial
+        # steps to s of order 1e5, where math.exp overflows
+        exact = solver.relation_jacobian
+        calls = []
+
+        def scaled_first_gap(vals, with_gap=False):
+            gap, cols = exact(vals, with_gap=True)
+            if not calls:
+                gap = tuple(1e6 * x for x in gap)
+            calls.append(1)
+            return gap, cols
+
+        monkeypatch.setattr(solver, "relation_jacobian", scaled_first_gap)
+        r = solve(2, seed=1, verbose=True)
+        assert relation_residual(r) <= 1e-6
+        summary = kv_lines(capsys.readouterr().err)
+        assert int(summary["nonfinite_trials"]) > 0
+        assert int(summary["rejected_steps"]) >= int(summary["nonfinite_trials"])
+
+    def test_non_finite_start_stalls(self):
+        vals = np.array([[0.0, 800.0, 0.0], [0.5, 0.0, 0.0]])
+        with pytest.raises(DidNotConverge, match=r"^stalled: residual inf after 0 iterations"):
+            refine(vals)
+
+
+class TestVerboseSummary:
+    KEYS = ["stop", "iterations", "accepted_steps", "rejected_steps", "nonfinite_trials"]
+
+    def summary(self, capsys, **kwargs):
+        try:
+            solve(**kwargs, verbose=True)
+        except DidNotConverge:
+            pass
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        tail = captured.err.strip().splitlines()[-5:]
+        assert [line.split(" ")[0] for line in tail] == self.KEYS
+        return kv_lines("\n".join(tail))
+
+    def test_converged(self, capsys):
+        s = self.summary(capsys, genus=2, seed=5)
+        assert s["stop"] == "converged"
+        assert s["accepted_steps"] == s["iterations"]
+
+    def test_stalled(self, capsys):
+        s = self.summary(capsys, genus=2, seed=64734)
+        assert s["stop"] == "stalled"
+        assert s["iterations"] == "2"
+        assert int(s["accepted_steps"]) == 1
+
+    def test_max_iter(self, capsys):
+        s = self.summary(capsys, genus=2, seed=0, max_iter=3)
+        assert s["stop"] == "max_iter"
+        assert (s["iterations"], s["accepted_steps"]) == ("3", "3")

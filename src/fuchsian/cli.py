@@ -148,8 +148,8 @@ def _cmd_classify(args) -> int:
 def _cmd_fuchsian_gen(args) -> int:
     poly = polygons.regular_polygon(args.genus)
     rep = polygons.side_pairings(poly)
+    result = toledo(rep)  # refuses a violated relation before the file is written
     repfile.write_rep_file(args.out, rep, meta=[f"source fuchsian-gen genus {args.genus}"])
-    result = toledo(rep)
     print(f"out {args.out}")
     print(f"toledo {result.value}")
     print(f"raw {result.raw:.17g}")

@@ -15,12 +15,14 @@ Vec2 = tuple[float, float]
 
 @dataclass(frozen=True)
 class LatticeGroup:
-    """Translations n*a + m*b for integer n, m; a and b independent."""
+    """Translations n*a + m*b for integer n, m; a and b finite and independent."""
 
     a: Vec2
     b: Vec2
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (*self.a, *self.b))):
+            raise ValueError(f"basis {self.a}, {self.b} is not finite")
         if abs(self._det()) <= 1e-12:
             raise ValueError(f"basis {self.a}, {self.b} is (nearly) dependent")
 
@@ -43,6 +45,7 @@ def reduce_point(L: LatticeGroup, p: Vec2) -> tuple[Vec2, tuple[int, int]]:
     so the floor is re-checked on q and corrected; for points within half an
     ulp of a wall no exactly-in-cell representative of the form p - na - mb
     may exist at all, in which case the last consistent pair is returned.
+    ValueError when p is not finite or its basis coordinates overflow.
     """
 
     def rep(n: int, m: int) -> Vec2:
@@ -52,6 +55,8 @@ def reduce_point(L: LatticeGroup, p: Vec2) -> tuple[Vec2, tuple[int, int]]:
         )
 
     s, t = L.basis_coords(p)
+    if not (math.isfinite(s) and math.isfinite(t)):
+        raise ValueError(f"point {p} has no finite coordinates in basis {L.a}, {L.b}")
     n, m = math.floor(s), math.floor(t)
     q = rep(n, m)
     for _ in range(3):

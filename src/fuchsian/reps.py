@@ -93,6 +93,12 @@ def _distance_to_pm_eye(m: tuple) -> tuple[float, float]:
 
 
 def relation_product(r: Representation) -> Mat2:
+    """The commutator product A_1 B_1 A_1^-1 B_1^-1 ... as a checked Mat2.
+
+    ValueError ("cannot renormalize entries with det ...") when a partial
+    product of the word cannot be renormalized onto det = 1, the case where
+    relation_residual returns inf.
+    """
     return _mat(_relation_entries(r))
 
 

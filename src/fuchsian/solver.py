@@ -3,8 +3,11 @@
 Generators are parametrized by three reals each through the Iwasawa-style
 factorization rotation(theta) diag(e^s, e^-s) ((1, u), (0, 1)), which hits
 every determinant-one matrix exactly once and has determinant one by
-construction, so the variety lives in R^{6g}.  The relation map is treated
-as valued in R^3 through the entries (P00 - 1, P01, P10) of the commutator
+construction, so the variety lives in R^{6g}.  Coordinates are a list of 2g
+(theta, s, u) triples of Python floats, in the generator order A1, B1, ...,
+Ag, Bg; every function here takes and returns coordinates in that form, and
+numpy only draws the seeded start in solve.  The relation map is treated as
+valued in R^3 through the entries (P00 - 1, P01, P10) of the commutator
 product; the remaining entry is dependent through det P = 1.
 
 The solver is damped Gauss-Newton on Python floats.  One pass over the
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,30 +35,6 @@ _EYE = (1.0, 0.0, 0.0, 1.0)
 
 class DidNotConverge(RuntimeError):
     """Gauss-Newton hit the iteration limit or stalled; reseed and retry."""
-
-
-@dataclass(frozen=True, eq=False)
-class RepCoords:
-    """(theta, s, u) rows for the generators in the order A1, B1, ..., Ag, Bg."""
-
-    genus: int
-    values: np.ndarray  # shape (2g, 3)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (2 * self.genus, 3):
-            raise ValueError(
-                f"genus {self.genus} needs coordinates of shape {(2 * self.genus, 3)}, "
-                f"got {vals.shape}"
-            )
-        object.__setattr__(self, "values", vals)
-
-
-def _rows(vals) -> list:
-    """Coordinate rows as Python floats; lists pass through untouched."""
-    if isinstance(vals, RepCoords):
-        vals = vals.values
-    return vals if isinstance(vals, list) else np.asarray(vals, dtype=float).tolist()
 
 
 def _matrix(th: float, s: float, u: float) -> tuple:
@@ -98,27 +76,20 @@ def _product(rows: list) -> tuple:
     return P
 
 
-def matrices_from_values(vals) -> np.ndarray:
-    """(..., k, 3) coordinate rows to (..., k, 2, 2) determinant-one matrices."""
-    vals = np.asarray(vals, dtype=float)
-    mats = [_matrix(*row) for row in vals.reshape(-1, 3).tolist()]
-    return np.array(mats, dtype=float).reshape(vals.shape[:-1] + (2, 2))
-
-
-def relation_gap(vals) -> np.ndarray:
+def relation_gap(rows: list) -> tuple:
     """The three independent entries of P - I: (P00 - 1, P01, P10)."""
-    P = _product(_rows(vals))
-    return np.array([P[0] - 1.0, P[1], P[2]])
+    P = _product(rows)
+    return (P[0] - 1.0, P[1], P[2])
 
 
-def residual(coords) -> float:
+def residual(rows: list) -> float:
     """Squared Frobenius norm of the full commutator product minus I.
 
     inf when a generator's e^s overflows or underflows; NaN or inf when the
     product does.
     """
     try:
-        a, b, c, d = _product(_rows(coords))
+        a, b, c, d = _product(rows)
     except ArithmeticError:
         return math.inf
     a, d = a - 1.0, d - 1.0
@@ -135,13 +106,15 @@ def _sandwich(Q: tuple, X: tuple, S: tuple) -> tuple:
     return (t0 * s0 + t1 * s2, t0 * s1 + t1 * s3, t2 * s0 + t3 * s2)
 
 
-def _linearize(rows: list) -> tuple:
-    """Gap and exact Jacobian columns at rows, from one pass over the word.
+def relation_jacobian(rows: list) -> tuple:
+    """(gap, cols) at rows: relation_gap and its 6g exact Jacobian columns.
 
-    With prefix Q_k = L_1...L_{k-1} and suffix S_k = L_{k+1}...L_{4g}, a
-    generator M at letter k with its inverse at letter k' moves the product
-    by Q_k dM S_k + Q_{k'} adj(dM) S_{k'}: the adjugate is linear and is the
-    inverse on det = 1.  dM comes from the factorization in closed form.
+    Column 3i + j is the (00, 01, 10) derivative along coordinate j of row i,
+    from one pass over the word.  With prefix Q_k = L_1...L_{k-1} and suffix
+    S_k = L_{k+1}...L_{4g}, a generator M at letter k with its inverse at
+    letter k' moves the product by Q_k dM S_k + Q_{k'} adj(dM) S_{k'}: the
+    adjugate is linear and is the inverse on det = 1.  dM comes from the
+    factorization in closed form.
     """
     word = _word([_matrix(*row) for row in rows])
     pre = [_EYE]
@@ -168,16 +141,6 @@ def _linearize(rows: list) -> tuple:
             y = _sandwich(pre[k + 2], _adj(dM), suf[k + 3])
             cols.append((x[0] + y[0], x[1] + y[1], x[2] + y[2]))
     return gap, cols
-
-
-def relation_jacobian(vals, with_gap: bool = False):
-    """Exact Jacobian of relation_gap, shape (3, 6g); columns follow vals' rows.
-
-    With with_gap=True it returns (gap, columns) on Python floats instead: the
-    three gap entries and the 6g Jacobian columns, the form refine consumes.
-    """
-    gap, cols = _linearize(_rows(vals))
-    return (gap, cols) if with_gap else np.array(cols).T
 
 
 def _gram(cols: list) -> tuple:
@@ -227,33 +190,29 @@ def _damped_step(gram: tuple, cols: list, gap: tuple, lam: float) -> "list | Non
     return [-(x * y0 + y * y1 + z * y2) for x, y, z in cols]
 
 
-def coords_from_rep(r: Representation) -> RepCoords:
+def coords_from_rep(r: Representation) -> list:
     """Recover (theta, s, u) per generator; exact inverse of the factorization."""
     rows = []
     for A, B in zip(r.gens_a, r.gens_b):
         for M in (A, B):
             norm2 = M.a * M.a + M.c * M.c
-            rows.append(
-                (
-                    math.atan2(M.c, M.a),
-                    0.5 * math.log(norm2),
-                    (M.a * M.b + M.c * M.d) / norm2,
-                )
-            )
-    return RepCoords(r.genus, np.array(rows))
+            th, s = math.atan2(M.c, M.a), 0.5 * math.log(norm2)
+            rows.append((th, s, (M.a * M.b + M.c * M.d) / norm2))
+    return rows
 
 
-def rep_from_coords(coords: RepCoords) -> Representation:
-    gens = [Mat2.renormalized(*_matrix(*row)) for row in _rows(coords)]
-    return Representation(coords.genus, tuple(gens[0::2]), tuple(gens[1::2]))
+def rep_from_coords(rows: list) -> Representation:
+    """The representation of genus len(rows) // 2; ValueError unless 2g >= 2 rows."""
+    gens = [Mat2.renormalized(*_matrix(*row)) for row in rows]
+    return Representation(len(rows) // 2, tuple(gens[0::2]), tuple(gens[1::2]))
 
 
 def refine(
-    vals,
+    rows: list,
     max_iter: int = 500,
     tol: float = SOLVE_TOL,
     verbose: bool = False,
-) -> np.ndarray:
+) -> list:
     """Drive the relation residual below tol by damped Gauss-Newton.
 
     Damping follows the usual schedule: multiply by 10 when a step fails to
@@ -265,8 +224,13 @@ def refine(
     `stalled` when no damping up to 1e14 lowers the residual.  With verbose,
     stderr gets one line per iteration and then `key value` lines: stop,
     iterations, accepted_steps, rejected_steps and, last, nonfinite_trials.
+    ValueError when max_iter is negative or tol is not finite and positive.
     """
-    rows = [tuple(row) for row in _rows(vals)]
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    rows = [tuple(row) for row in rows]
     lam = 1e-3
     nonfinite = accepted_steps = rejected_steps = iterations = 0
     stop = "max_iter"
@@ -280,7 +244,7 @@ def refine(
             stop = "stalled"
             break
         iterations += 1
-        gap, cols = relation_jacobian(rows, with_gap=True)
+        gap, cols = relation_jacobian(rows)
         gram = _gram(cols)
         accepted = False
         for _ in range(60):
@@ -309,16 +273,10 @@ def refine(
     if f <= tol:
         stop = "converged"
     if verbose:
-        for key, value in (
-            ("stop", stop),
-            ("iterations", iterations),
-            ("accepted_steps", accepted_steps),
-            ("rejected_steps", rejected_steps),
-            ("nonfinite_trials", nonfinite),
-        ):
-            print(f"{key} {value}", file=sys.stderr)
+        print(f"stop {stop}\niterations {iterations}\naccepted_steps {accepted_steps}\n"
+              f"rejected_steps {rejected_steps}\nnonfinite_trials {nonfinite}", file=sys.stderr)
     if f <= tol:
-        return np.array(rows, dtype=float)
+        return rows
     raise DidNotConverge(
         f"{stop}: residual {f:.3e} after {iterations} iterations (tol {tol:.1e}, "
         f"{nonfinite} non-finite trial steps rejected)"
@@ -338,7 +296,5 @@ def solve(
     """
     if genus < 1:
         raise ValueError(f"genus must be >= 1, got {genus}")
-    rng = np.random.default_rng(seed)
-    start = rng.uniform(-1.0, 1.0, size=(2 * genus, 3))
-    vals = refine(start, max_iter=max_iter, tol=tol, verbose=verbose)
-    return rep_from_coords(RepCoords(genus, vals))
+    start = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(2 * genus, 3)).tolist()
+    return rep_from_coords(refine(start, max_iter=max_iter, tol=tol, verbose=verbose))

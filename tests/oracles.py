@@ -16,7 +16,7 @@ from fuchsian.polygons import (
     _vertices_at_radius,
     side_pairings,
 )
-from fuchsian.solver import coords_from_rep, matrices_from_values
+from fuchsian.solver import coords_from_rep
 
 FD_STEP = 1e-6
 
@@ -53,9 +53,21 @@ def bisection_rep(g: int):
     return side_pairings(HyperbolicPolygon(tuple(vertices), g))
 
 
+def _batched_matrices(vals: np.ndarray) -> np.ndarray:
+    # rotation(theta) diag(e^s, e^-s) ((1, u), (0, 1)), batched over leading axes
+    th, s, u = np.moveaxis(vals, -1, 0)
+    one, zero, e = np.ones_like(s), np.zeros_like(s), np.exp(s)
+
+    def stack(a, b, c, d):
+        return np.stack([np.stack([a, b], -1), np.stack([c, d], -1)], -2)
+
+    rot = stack(np.cos(th), -np.sin(th), np.sin(th), np.cos(th))
+    return rot @ stack(e, zero, zero, 1.0 / e) @ stack(one, u, zero, one)
+
+
 def _batched_gap(vals: np.ndarray) -> np.ndarray:
     # the relation product with numpy inverses, batched over leading axes
-    mats = matrices_from_values(vals)
+    mats = _batched_matrices(vals)
     P = np.eye(2)
     for j in range(mats.shape[-3] // 2):
         A, B = mats[..., 2 * j, :, :], mats[..., 2 * j + 1, :, :]
@@ -63,9 +75,9 @@ def _batched_gap(vals: np.ndarray) -> np.ndarray:
     return np.stack([P[..., 0, 0] - 1.0, P[..., 0, 1], P[..., 1, 0]], axis=-1)
 
 
-def fd_relation_jacobian(vals, step: float = FD_STEP) -> np.ndarray:
-    """Central-difference Jacobian of the relation gap, shape (3, 6g)."""
-    vals = np.asarray(vals, dtype=float)
+def fd_relation_jacobian(rows, step: float = FD_STEP) -> np.ndarray:
+    """Central-difference Jacobian of the relation gap at 2g coordinate rows, shape (3, 6g)."""
+    vals = np.asarray(rows, dtype=float)
     n = vals.size
     eye = np.eye(n) * step
     flat = vals.reshape(n)
@@ -82,7 +94,7 @@ def fd_svd_rank(r, rel_cutoff: float = 1e-6, noise_floor: float = 1e-8) -> int:
     relative cutoff misreads polygon representations from g = 17 on, where
     the columns are scaled by up to g^4.
     """
-    J = fd_relation_jacobian(coords_from_rep(r).values)
+    J = fd_relation_jacobian(coords_from_rep(r))
     sigma = np.linalg.svd(J, compute_uv=False)
     cutoff = max(rel_cutoff * float(sigma.max(initial=0.0)), noise_floor)
     return int(np.sum(sigma > cutoff))

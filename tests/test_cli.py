@@ -36,6 +36,16 @@ def test_fuchsian_gen_round_trip(tmp_path, capsys):
     assert abs(toledo(rep).value) == 2
 
 
+def test_fuchsian_gen_refusal_writes_no_file(tmp_path, capsys):
+    # the genus-48 polygon word misses REL_TOL, so toledo refuses it
+    path = tmp_path / "rep.txt"
+    assert run(["fuchsian-gen", "--genus", "48", "--out", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error relation residual")
+    assert not path.exists()
+
+
 def test_toledo_command(tmp_path, capsys):
     path = tmp_path / "rep.txt"
     run(["fuchsian-gen", "--genus", "2", "--out", str(path)])
@@ -203,9 +213,14 @@ def test_module_entry_point(tmp_path):
         ["euclid-reduce", "--a", "1,0", "--b", "2,0", "--p", "0,0"],
         ["polygon", "--genus", "1", "--out", "poly.txt"],
         ["fuchsian-gen", "--genus", "1", "--out", "rep.txt"],
+        ["euclid-reduce", "--a", "1,0", "--b", "0,1", "--p=inf,0"],
+        ["euclid-reduce", "--a=inf,0", "--b", "0,1", "--p", "0,0"],
+        ["solve", "--genus", "2", "--max-iter", "-3", "--out", "rep.txt"],
+        ["solve", "--genus", "2", "--tol", "nan", "--out", "rep.txt"],
     ],
     ids=["malformed-file", "missing-file", "det-not-one", "dependent-basis",
-         "polygon-genus-1", "fuchsian-gen-genus-1"],
+         "polygon-genus-1", "fuchsian-gen-genus-1", "infinite-point", "infinite-basis",
+         "negative-max-iter", "nan-tol"],
 )
 def test_bad_input_exits_64_with_one_error_line(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

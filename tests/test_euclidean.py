@@ -27,6 +27,24 @@ def test_degenerate_basis_rejected():
         LatticeGroup((1.0, 2.0), (2.0, 4.0))
 
 
+@pytest.mark.parametrize("a", [(math.inf, 0.0), (math.nan, 1.0)])
+def test_non_finite_basis_rejected(a):
+    with pytest.raises(ValueError, match="not finite"):
+        LatticeGroup(a, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("p", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0)])
+def test_non_finite_point_rejected(p):
+    with pytest.raises(ValueError, match="no finite coordinates"):
+        reduce_point(LatticeGroup((1.0, 0.0), (0.0, 1.0)), p)
+
+
+def test_overflowing_basis_coordinates_rejected():
+    # a finite point whose basis coordinate 1e300 * 1e200 overflows
+    with pytest.raises(ValueError, match="no finite coordinates"):
+        reduce_point(LatticeGroup((1e-200, 0.0), (0.0, 1e200)), (1e300, 0.0))
+
+
 def test_sum_of_basis_reduces_to_origin():
     L = LatticeGroup((1.0, 0.25), (-0.5, 2.0))
     q, (n, m) = reduce_point(L, (L.a[0] + L.b[0], L.a[1] + L.b[1]))

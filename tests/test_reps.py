@@ -50,6 +50,8 @@ class TestRelationResidual:
         # rounding drives a partial product's det negative (-128) at 7 handles
         r = Representation(7, (scaling(20.0),) * 7, (rotation(0.7),) * 7)
         assert relation_residual(r) == math.inf
+        with pytest.raises(ValueError, match=r"cannot renormalize entries with det -128\.0"):
+            relation_product(r)
         with pytest.raises(RelationViolated, match="residual inf"):
             toledo(r)
 

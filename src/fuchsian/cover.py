@@ -8,17 +8,16 @@ the winding data a bare matrix forgets: shifting the branch adds 2*pi*i*k,
 and the elements over the identity matrix form the central kernel, with
 phi(i) ranging over 2*pi*i*Z.
 
-Multiplication transports the first factor's branch along the second
-factor's action: over A1 A2 the branch value at i is phi1(A2 . i) + phi2(i).
-Evaluating a branch away from i needs no numerical continuation: j maps the
-segment [i, z] to a straight segment that misses 0 and stays inside one open
-half-plane, so the argument increment lies in (-pi, pi) and equals the
-principal log of the ratio j(A, z)/j(A, i).
+The kernels run on pairs (A, n) with phi(i) = Log j(A, i) + 2*pi*i*n, a
+logarithm of j(A, i) by construction.  Over A1 A2 the branch value at i is
+phi1(A2 . i) + phi2(i), and j(A1, .) maps [i, A2.i] into one open
+half-plane, so n = n1 + n2 + c with c the Euler cocycle (Milnor 1958; Wood,
+Comment. Math. Helv. 46, 1971), rounded where it is computed:
 
-After every product and inverse the real part of phi(i) is reset to its
-exact value log|j(A, i)|; only the imaginary part carries accumulated state.
-This keeps the defining residual |exp(phi(i)) - j(A, i)| flat over long
-words instead of growing with word length.
+    c = (Arg j(A1,i) + Arg[j(A1,A2.i)/j(A1,i)] + Arg j(A2,i) - Arg j(A1A2,i)) / 2pi
+
+It lies in {-1, 0, 1}, so no rounding error accumulates along a word; a c
+farther than CARRY_TOL turn from its integer raises NonIntegral, a ValueError.
 """
 from __future__ import annotations
 
@@ -43,8 +42,9 @@ from .halfplane import (  # noqa: F401
 )
 
 TWO_PI = 2.0 * math.pi
-EXP_TOL = 1e-9     # |exp(phi(i)) - j(A,i)| allowed, relative above |j| = 1
-KERNEL_TOL = 1e-6  # Frobenius distance to I for kernel membership
+EXP_TOL = 1e-9      # |exp(phi(i)) - j(A,i)| allowed at construction, relative above |j| = 1
+CARRY_TOL = 0.25    # turns a cocycle carry may lie from its integer
+KERNEL_TOL = 1e-6   # Frobenius distance to I for kernel membership
 
 _I = HPoint(0.0, 1.0)
 
@@ -53,16 +53,12 @@ class NotInKernel(ValueError):
     """kernel_value() was given an element whose matrix part is not near I."""
 
 
+class NonIntegral(ArithmeticError, ValueError):
+    """A quantity that must be an integer is too far from one; numerical breakdown."""
+
+
 def _j_i(m: tuple) -> complex:
-    # j(A, i) by the operations of _j(c, d, 0.0, 1.0); c * 1.0 is c exactly
-    c = m[2]
-    return complex(c * 0.0 + m[3], c)
-
-
-def _check_phi(phi: complex, j: complex) -> None:
-    """The CoverElement invariant: phi(i) is a logarithm of j(A, i)."""
-    if abs(cmath.exp(phi) - j) > EXP_TOL * max(1.0, abs(j)):
-        raise ValueError(f"phi(i) = {phi} is not a logarithm of j(A, i) = {j}")
+    return complex(m[3], m[2])  # j(A, i) = d + ci
 
 
 @dataclass(frozen=True)
@@ -73,7 +69,9 @@ class CoverElement:
     phi_i: complex
 
     def __post_init__(self):
-        _check_phi(self.phi_i, j_cocycle(self.A, _I))
+        j = j_cocycle(self.A, _I)
+        if abs(cmath.exp(self.phi_i) - j) > EXP_TOL * max(1.0, abs(j)):
+            raise ValueError(f"phi(i) = {self.phi_i} is not a logarithm of j(A, i) = {j}")
 
     def __mul__(self, other: "CoverElement") -> "CoverElement":
         return cover_mul(self, other)
@@ -87,63 +85,62 @@ class KernelValue(NamedTuple):
     residual: float
 
 
-# Kernels on (entries, phi(i)) pairs, entries an (a, b, c, d) tuple.  Each
-# result passes _check_phi, and its matrix passed halfplane's _check_mat.
+# Kernels on (entries, n) pairs, entries an (a, b, c, d) tuple that passed
+# halfplane's _check_mat and n the integer winding.
 
-def _lift(m: tuple, k: int) -> tuple:
-    j = _j_i(m)
-    phi = cmath.log(j) + complex(0.0, TWO_PI * k)
-    _check_phi(phi, j)
-    return m, phi
+def _arg_i(m: tuple) -> float:
+    return math.atan2(m[2], m[3])  # Arg j(A, i), the phase of d + ci
 
 
-def _phi_at(m: tuple, phi_i: complex, x: float, y: float) -> complex:
-    return phi_i + cmath.log(_j(m[2], m[3], x, y) / _j_i(m))
-
-
-def _rebased(m: tuple, phi: complex) -> tuple:
-    # reset the redundant real part; the imaginary part is the payload
-    j = _j_i(m)
-    phi = complex(math.log(abs(j)), phi.imag)
-    _check_phi(phi, j)
-    return m, phi
+def _cocycle(m1: tuple, m2: tuple, m: tuple) -> int:
+    """The Euler cocycle c of m1 m2 = m; NonIntegral past CARRY_TOL turn."""
+    x, y = _act(m2, 0.0, 1.0)
+    increment = cmath.phase(_j(m1[2], m1[3], x, y) / _j_i(m1))
+    t = (_arg_i(m1) + increment + _arg_i(m2) - _arg_i(m)) / TWO_PI
+    c = round(t)
+    if abs(t - c) > CARRY_TOL:
+        raise NonIntegral(f"Euler cocycle carry {t!r} is {abs(t - c):.3f} turn from an integer")
+    return c
 
 
 def _cmul(e1: tuple, e2: tuple) -> tuple:
-    (m1, phi1), (m2, phi2) = e1, e2
+    (m1, n1), (m2, n2) = e1, e2
     m = _mul(m1, m2)
-    x, y = _act(m2, 0.0, 1.0)
-    return _rebased(m, _phi_at(m1, phi1, x, y) + phi2)
+    return m, n1 + n2 + _cocycle(m1, m2, m)
 
 
 def _cinv(e: tuple) -> tuple:
-    m, phi = e
+    # the n' with (A, n)(A^-1, n') = (I, 0)
+    m, n = e
     m_inv = _inv(m)
-    x, y = _act(m_inv, 0.0, 1.0)
-    return _rebased(m_inv, -_phi_at(m, phi, x, y))
+    return m_inv, -n - _cocycle(m, m_inv, (1.0, 0.0, 0.0, 1.0))
+
+
+def _phi(e: tuple) -> complex:
+    return cmath.log(_j_i(e[0])) + complex(0.0, TWO_PI * e[1])
 
 
 def _pair(e: CoverElement) -> tuple:
-    A = e.A
-    return (A.a, A.b, A.c, A.d), e.phi_i
+    # exp(phi(i)) = j(A, i) holds, so Im phi(i) - Arg j(A, i) is near 2 pi n
+    m = (e.A.a, e.A.b, e.A.c, e.A.d)
+    return m, round((e.phi_i.imag - _arg_i(m)) / TWO_PI)
 
 
 def _element(e: tuple) -> CoverElement:
-    # Unchecked constructor for a pair that has just passed _check_phi.
+    # Unchecked constructor: phi(i) is a logarithm of j(A, i) by construction.
     out = object.__new__(CoverElement)
-    out.__dict__.update(A=_mat(e[0]), phi_i=e[1])
+    out.__dict__.update(A=_mat(e[0]), phi_i=_phi(e))
     return out
 
 
 def lift(A: Mat2, k: int = 0) -> CoverElement:
     """The element over A on branch k; k = 0 takes the principal argument."""
-    return _element(_lift((A.a, A.b, A.c, A.d), k))
+    return _element(((A.a, A.b, A.c, A.d), k))
 
 
 def phi_at(e: CoverElement, z: HPoint) -> complex:
     """Evaluate the branch at z: phi(i) plus the principal-log increment."""
-    m, phi = _pair(e)
-    return _phi_at(m, phi, z.x, z.y)
+    return e.phi_i + cmath.log(j_cocycle(e.A, z) / j_cocycle(e.A, _I))
 
 
 def cover_mul(e1: CoverElement, e2: CoverElement) -> CoverElement:

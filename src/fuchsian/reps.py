@@ -25,7 +25,7 @@ from math import pi
 
 # lift, cover_mul and cover_inv stay importable here: bench/tracer.py wraps
 # them under these names.
-from .cover import _cinv, _cmul, _lift, cover_inv, cover_mul, lift  # noqa: F401
+from .cover import NonIntegral, _cinv, _cmul, _phi, cover_inv, cover_mul, lift  # noqa: F401
 from .halfplane import Mat2, _frobenius, _inv, _mat, _mul
 
 _EYE = (1.0, 0.0, 0.0, 1.0)
@@ -42,10 +42,6 @@ CENTRALIZER_TOL = 1e-9
 
 class RelationViolated(ValueError):
     """The generators do not satisfy the surface-group relation."""
-
-
-class NonIntegral(ArithmeticError):
-    """The raw invariant is too far from an integer; numerical breakdown."""
 
 
 @dataclass(frozen=True)
@@ -116,6 +112,12 @@ def relation_residual(r: Representation) -> float:
     return min(_distance_to_pm_eye(P))
 
 
+def _require_relation(r: Representation, rel_tol: float = REL_TOL) -> None:
+    rel = relation_residual(r)
+    if rel > rel_tol:
+        raise RelationViolated(f"relation residual {rel:.3e} exceeds {rel_tol:.1e}")
+
+
 def jacobian_rank(r: Representation) -> int:
     """Rank of the relation Jacobian at a representation: 3 - dim z(rho).
 
@@ -163,10 +165,10 @@ def toledo(
 
     branches, when given, holds 2g integers choosing the lift branch of
     A_1, B_1, ..., A_g, B_g in that order; the result must not depend on it.
+    NonIntegral when a cover carry is farther than cover.CARRY_TOL from its
+    integer, or raw farther than NONINTEGRAL_TOL from the lattice.
     """
-    rel = relation_residual(r)
-    if rel > rel_tol:
-        raise RelationViolated(f"relation residual {rel:.3e} exceeds {rel_tol:.1e}")
+    _require_relation(r, rel_tol)
     if branches is None:
         branches = (0,) * (2 * r.genus)
     if len(branches) != 2 * r.genus:
@@ -175,11 +177,11 @@ def toledo(
     # Each commutator is (ta tb)(ta^-1 tb^-1); the total accumulates from the left.
     total = None
     for i, (A, B) in enumerate(zip(r.gens_a, r.gens_b)):
-        ta = _lift((A.a, A.b, A.c, A.d), branches[2 * i])
-        tb = _lift((B.a, B.b, B.c, B.d), branches[2 * i + 1])
+        ta = ((A.a, A.b, A.c, A.d), branches[2 * i])
+        tb = ((B.a, B.b, B.c, B.d), branches[2 * i + 1])
         comm = _cmul(_cmul(ta, tb), _cmul(_cinv(ta), _cinv(tb)))
         total = comm if total is None else _cmul(total, comm)
-    m, phi = total
+    m, phi = total[0], _phi(total)
 
     dist_plus, dist_minus = _distance_to_pm_eye(m)
     psl_only = dist_minus < dist_plus

@@ -28,7 +28,7 @@ import numpy as np
 from .halfplane import Mat2
 # jacobian_rank stays importable here: bench/tracer.py wraps it under this
 # name and bench/workloads.py calls it here.
-from .reps import SOLVE_TOL, Representation, jacobian_rank  # noqa: F401
+from .reps import SOLVE_TOL, Representation, _require_relation, jacobian_rank  # noqa: F401
 
 _EYE = (1.0, 0.0, 0.0, 1.0)
 
@@ -224,13 +224,16 @@ def refine(
     `stalled` when no damping up to 1e14 lowers the residual.  With verbose,
     stderr gets one line per iteration and then `key value` lines: stop,
     iterations, accepted_steps, rejected_steps and, last, nonfinite_trials.
-    ValueError when max_iter is negative or tol is not finite and positive.
+    ValueError when max_iter is negative, tol is not finite and positive, or
+    the row count is not 2g for a genus g >= 1.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     rows = [tuple(row) for row in rows]
+    if not rows or len(rows) % 2:
+        raise ValueError(f"need 2g coordinate rows for a genus g >= 1, got {len(rows)}")
     lam = 1e-3
     nonfinite = accepted_steps = rejected_steps = iterations = 0
     stop = "max_iter"
@@ -293,8 +296,12 @@ def solve(
     """Random-start solve; the returned representation satisfies the relation.
 
     Raises DidNotConverge when the seed leads nowhere; callers reseed.
+    RelationViolated when the result still misses reps.REL_TOL, which a tol
+    looser than the default can allow.
     """
     if genus < 1:
         raise ValueError(f"genus must be >= 1, got {genus}")
     start = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(2 * genus, 3)).tolist()
-    return rep_from_coords(refine(start, max_iter=max_iter, tol=tol, verbose=verbose))
+    rep = rep_from_coords(refine(start, max_iter=max_iter, tol=tol, verbose=verbose))
+    _require_relation(rep)
+    return rep

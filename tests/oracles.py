@@ -2,14 +2,17 @@
 
 Each oracle computes a quantity the package also computes, by an
 independent route: the polygon radius by bisection on the interior angle,
-the polygon area by quadrature, and the relation Jacobian by central
-finite differences (with its rank from the singular values).
+the polygon area by quadrature, the relation Jacobian by central finite
+differences (with its rank from the singular values), and the Toledo
+invariant by transporting a float winding through the cover products.
 """
 import cmath
 import math
 
 import numpy as np
 
+from fuchsian.cover import EXP_TOL
+from fuchsian.halfplane import _act, _inv, _j, _mul
 from fuchsian.polygons import (
     HyperbolicPolygon,
     _triangle_angle,
@@ -161,3 +164,57 @@ def polygon_area_numeric(p, subdiv: int = 2000) -> float:
 
         total += dth * _simpson(sector, subdiv)
     return total
+
+
+def _check_phi(m: tuple, phi: complex) -> None:
+    j = _j(m[2], m[3], 0.0, 1.0)
+    if abs(cmath.exp(phi) - j) > EXP_TOL * max(1.0, abs(j)):
+        raise ValueError(f"phi(i) = {phi} is not a logarithm of j(A, i) = {j}")
+
+
+def _rebased(m: tuple, phi: complex) -> tuple:
+    # reset the real part to log|j(A, i)|; the imaginary part is the payload
+    phi = complex(math.log(abs(_j(m[2], m[3], 0.0, 1.0))), phi.imag)
+    _check_phi(m, phi)
+    return m, phi
+
+
+def _phi_at(m: tuple, phi: complex, x: float, y: float) -> complex:
+    return phi + cmath.log(_j(m[2], m[3], x, y) / _j(m[2], m[3], 0.0, 1.0))
+
+
+def _transport_lift(M, k: int) -> tuple:
+    m = (M.a, M.b, M.c, M.d)
+    return m, cmath.log(_j(M.c, M.d, 0.0, 1.0)) + complex(0.0, 2.0 * math.pi * k)
+
+
+def _transport_mul(e1: tuple, e2: tuple) -> tuple:
+    (m1, phi1), (m2, phi2) = e1, e2
+    x, y = _act(m2, 0.0, 1.0)
+    return _rebased(_mul(m1, m2), _phi_at(m1, phi1, x, y) + phi2)
+
+
+def _transport_inv(e: tuple) -> tuple:
+    m, phi = e
+    m_inv = _inv(m)
+    x, y = _act(m_inv, 0.0, 1.0)
+    return _rebased(m_inv, -_phi_at(m, phi, x, y))
+
+
+def transport_toledo_raw(r, branches=None) -> float:
+    """Im phi(i) / pi of the lifted relation word, the winding carried as a float.
+
+    Each element is (entries, phi(i)); a product transports the first
+    factor's branch along the second factor's action and re-checks
+    exp(phi(i)) = j(A, i) to EXP_TOL.  The word and its association order
+    are those of reps.toledo.
+    """
+    if branches is None:
+        branches = (0,) * (2 * r.genus)
+    total = None
+    for i, (A, B) in enumerate(zip(r.gens_a, r.gens_b)):
+        ta = _transport_lift(A, branches[2 * i])
+        tb = _transport_lift(B, branches[2 * i + 1])
+        comm = _transport_mul(_transport_mul(ta, tb), _transport_mul(_transport_inv(ta), _transport_inv(tb)))
+        total = comm if total is None else _transport_mul(total, comm)
+    return total[1].imag / math.pi

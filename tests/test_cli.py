@@ -9,6 +9,7 @@ import pytest
 import fuchsian
 from fuchsian.cli import run
 from fuchsian.halfplane import rotation, scaling, Mat2
+from fuchsian.polygons import _move_to_i, regular_polygon, side_pairings
 from fuchsian.repfile import format_rep, parse_rep, read_rep_file, write_rep_file
 from fuchsian.reps import Representation, relation_residual, toledo
 
@@ -72,6 +73,45 @@ def test_toledo_relation_violated_exit_code(tmp_path, capsys):
         Representation(1, (scaling(2.0),), (Mat2(1.0, 1.0, 0.0, 1.0),)),
     )
     assert run(["toledo", "--in", str(path)]) == 3
+
+
+@pytest.mark.parametrize("genus, value", [(20, "-38"), (30, "-58")])
+def test_toledo_in_the_vertex_frame(genus, value, tmp_path, capsys):
+    # the polygon representation conjugated so that vertex 0 sits at i
+    poly = regular_polygon(genus)
+    rep = side_pairings(poly)
+    C = _move_to_i(poly.vertices[0])
+    conj = Representation(
+        genus,
+        tuple(C @ A @ C.inv() for A in rep.gens_a),
+        tuple(C @ B @ C.inv() for B in rep.gens_b),
+    )
+    path = tmp_path / "vertex.rep"
+    write_rep_file(path, conj)
+    assert run(["check-relation", "--in", str(path)]) == 0
+    assert run(["toledo", "--in", str(path)]) == 0
+    assert kv(capsys.readouterr().out)["value"] == value
+
+
+@pytest.mark.parametrize(
+    "A, code",
+    [
+        (Mat2(785787.7144649233, 5957813.628175863, 139620.8594370249, 1058600.234923456), 0),
+        (Mat2(146702735.37414363, -27331471.39361245, 214202482.39371574, -39907020.172825396), 2),
+    ],
+    ids=["entries-1e6", "entries-1e8-carry-breakdown"],
+)
+def test_toledo_genus_one_large_entries(A, code, tmp_path, capsys):
+    path = tmp_path / "big.rep"
+    write_rep_file(path, Representation(1, (A,), (Mat2.identity(),)))
+    assert run(["toledo", "--in", str(path)]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert kv(captured.out)["value"] == "0"
+    else:
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error Euler cocycle carry")
 
 
 def test_check_relation_exit_codes(tmp_path, capsys):
@@ -230,6 +270,17 @@ def test_bad_input_exits_64_with_one_error_line(argv, tmp_path, monkeypatch, cap
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error ")
+
+
+def test_solve_tol_looser_than_the_relation_exits_3(tmp_path, capsys):
+    # tol 1e10 accepts the unrefined start, whose relation residual is 8.77
+    path = tmp_path / "rep.txt"
+    assert run(["solve", "--genus", "2", "--tol", "1e10", "--out", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error relation residual")
+    assert not path.exists()
 
 
 def test_commands_without_solver_leave_numpy_unloaded(tmp_path):

@@ -20,6 +20,10 @@ from fuchsian.halfplane import HPoint, Mat2, j_cocycle, rotation
 
 TWO_PI = 2.0 * math.pi
 I = HPoint(0.0, 1.0)
+# entries near 1e6, with A A^-1 exactly I in floating point
+BIG = Mat2(785787.7144649233, 5957813.628175863, 139620.8594370249, 1058600.234923456)
+# entries near 1e8: the carry of the inverse is 0.28 turn from an integer
+HUGE = Mat2(146702735.37414363, -27331471.39361245, 214202482.39371574, -39907020.172825396)
 
 
 def phi_increment_quadrature(A: Mat2, z: HPoint, nodes: int = 1001) -> complex:
@@ -138,6 +142,23 @@ class TestGroupLaws:
         for prod in (cover_mul(e, cover_inv(e)), cover_mul(cover_inv(e), e)):
             assert mat_close(prod.A, Mat2.identity(), 1e-12)
             assert abs(prod.phi_i) < 1e-9
+
+    @pytest.mark.parametrize("k", [-2, 0, 3])
+    def test_large_entries_cancel_to_winding_zero(self, k):
+        e = lift(BIG, k)
+        assert kernel_value(cover_mul(e, cover_inv(e))).k == 0
+        assert kernel_value(cover_mul(cover_inv(e), e)).k == 0
+
+    def test_carry_breakdown_raises_value_error(self):
+        with pytest.raises(ValueError, match="Euler cocycle carry"):
+            cover_inv(lift(HUGE))
+
+    def test_outside_element_keeps_its_winding(self):
+        # phi(i) off the principal branch and off log|j| within EXP_TOL
+        phi = lift(rotation(0.5), 0).phi_i + complex(1e-12, TWO_PI * 3)
+        e = CoverElement(rotation(0.5), phi)
+        assert abs(cover_mul(e, lift(Mat2.identity(), 0)).phi_i - phi) < 1e-11
+        assert abs(cover_inv(e).phi_i + phi) < 1e-11
 
     def test_rotation_inverse_negates_winding(self):
         e = lift(rotation(1.1), 0)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -6,6 +7,7 @@ from hypothesis import given
 from conftest import sl2_matrices
 from fuchsian.cover import cover_inv, cover_mul, lift
 from fuchsian.halfplane import Mat2, rotation, scaling
+from fuchsian.polygons import regular_polygon, side_pairings
 from fuchsian.repfile import format_rep, parse_rep, read_rep_file, write_rep_file
 from fuchsian.reps import (
     NonIntegral,
@@ -20,7 +22,7 @@ from fuchsian.reps import (
     toledo,
 )
 from fuchsian.solver import solve
-from oracles import bisection_rep
+from oracles import bisection_rep, transport_toledo_raw
 
 
 def rotations_rep(genus, angles_a, angles_b):
@@ -96,6 +98,15 @@ class TestToledo:
         with pytest.raises(NonIntegral):
             toledo(bad, rel_tol=100.0)
 
+    def test_carry_breakdown_is_non_integral(self):
+        # the inverse of a generator with entries near 1e8 carries 0.28 turn
+        # off an integer; the relation (A, I) itself closes exactly
+        A = Mat2(146702735.37414363, -27331471.39361245, 214202482.39371574, -39907020.172825396)
+        r = Representation(1, (A,), (Mat2.identity(),))
+        assert relation_residual(r) == 0.0
+        with pytest.raises(NonIntegral, match="Euler cocycle carry"):
+            toledo(r)
+
     def test_branch_count_checked(self, octagon_rep):
         with pytest.raises(ValueError):
             toledo(octagon_rep, branches=[0, 0, 0])
@@ -159,6 +170,32 @@ class TestKernels:
 
     def test_relation_product_is_mat2(self, octagon_rep):
         assert isinstance(relation_product(octagon_rep), Mat2)
+
+
+def assert_matches_transport(r, branches=None):
+    t = toledo(r, branches=branches)
+    raw = transport_toledo_raw(r, branches)
+    assert abs(t.raw - raw) < 1e-11
+    assert t.value == round(raw)
+
+
+class TestTransportOracle:
+    # the integer cocycle against the float-winding transport, on the same word
+
+    @pytest.mark.parametrize("g", range(2, 40))
+    def test_polygons_and_reflections(self, g):
+        r = side_pairings(regular_polygon(g))
+        assert_matches_transport(r)
+        assert_matches_transport(reflect_conjugate(r))
+
+    @pytest.mark.parametrize("g", [2, 3, 5])
+    def test_solves_under_branch_choices(self, g):
+        rng = random.Random(g)
+        for seed in range(3):
+            r = solve(g, seed=seed)
+            for branches in [None] + [[rng.randint(-3, 3) for _ in range(2 * g)] for _ in range(3)]:
+                assert_matches_transport(r, branches)
+                assert_matches_transport(reflect_conjugate(r), branches)
 
 
 class TestChecks:

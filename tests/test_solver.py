@@ -126,6 +126,14 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(0)
 
+    @pytest.mark.parametrize("rows", [
+        [(0.1, 0.2, 0.3), (0.5, -0.2, 0.1), (0.3, 0.3, 0.3)],
+        [(0.0, 0.0, 0.0)] * 5,  # already meets tol
+    ])
+    def test_refine_rejects_odd_row_count(self, rows):
+        with pytest.raises(ValueError, match="coordinate rows"):
+            refine(rows)
+
     def test_overflowing_trials_are_counted_not_leaked(self, capsys):
         # seed 2 at genus 5 tries steps whose residual overflows to inf/NaN
         with warnings.catch_warnings(record=True) as caught:

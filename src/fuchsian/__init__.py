@@ -16,7 +16,6 @@ from .halfplane import (
     hyp_distance,
     j_cocycle,
     mobius_act,
-    path_length,
     rotation,
     scaling,
 )

@@ -29,6 +29,7 @@ from typing import NamedTuple
 # mobius_act is not called here; it stays importable because bench/tracer.py
 # wraps it under this name.
 from .halfplane import (  # noqa: F401
+    DegenerateDenominator,
     HPoint,
     Mat2,
     _act,
@@ -94,8 +95,14 @@ def _arg_i(m: tuple) -> float:
 
 def _cocycle(m1: tuple, m2: tuple, m: tuple) -> int:
     """The Euler cocycle c of m1 m2 = m; NonIntegral past CARRY_TOL turn."""
-    x, y = _act(m2, 0.0, 1.0)
-    increment = cmath.phase(_j(m1[2], m1[3], x, y) / _j_i(m1))
+    try:
+        x, y = _act(m2, 0.0, 1.0)
+        j1 = _j(m1[2], m1[3], x, y)
+    except DegenerateDenominator:
+        # m2 moves i past the action's guard (Im m2.i > 1e24); the cocycle
+        # identity j(m1, m2.i) = j(m1 m2, i) / j(m2, i) needs no point
+        j1 = _j_i(m) / _j_i(m2)
+    increment = cmath.phase(j1 / _j_i(m1))
     t = (_arg_i(m1) + increment + _arg_i(m2) - _arg_i(m)) / TWO_PI
     c = round(t)
     if abs(t - c) > CARRY_TOL:
@@ -127,14 +134,16 @@ def _pair(e: CoverElement) -> tuple:
 
 
 def _element(e: tuple) -> CoverElement:
-    # Unchecked constructor: phi(i) is a logarithm of j(A, i) by construction.
-    out = object.__new__(CoverElement)
-    out.__dict__.update(A=_mat(e[0]), phi_i=_phi(e))
-    return out
+    # checked: a float Im phi(i) of some 1e7 and up misses EXP_TOL
+    return CoverElement(_mat(e[0]), _phi(e))
 
 
 def lift(A: Mat2, k: int = 0) -> CoverElement:
-    """The element over A on branch k; k = 0 takes the principal argument."""
+    """The element over A on branch k; k = 0 takes the principal argument.
+
+    ValueError, as from cover_mul and cover_inv, for a winding of a few
+    million turns and up, which a float phi(i) cannot hold to EXP_TOL.
+    """
     return _element(((A.a, A.b, A.c, A.d), k))
 
 

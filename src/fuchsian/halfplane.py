@@ -250,21 +250,6 @@ def hyp_distance(z: HPoint, w: HPoint) -> float:
     return math.log1p(u + math.sqrt(u * (u + 2.0)))
 
 
-def path_length(points: "list[HPoint] | tuple[HPoint, ...]") -> float:
-    """Length of a polyline: each chord weighted by the geometric mean height.
-
-    This is the midpoint-rule discretization of the arc length integral; it
-    converges to the true length of the traced curve as the polyline refines.
-    """
-    if len(points) < 2:
-        raise ValueError("need at least two points")
-    total = 0.0
-    for z, w in zip(points, points[1:]):
-        chord = math.hypot(w.x - z.x, w.y - z.y)
-        total += chord / math.sqrt(z.y * w.y)
-    return total
-
-
 def rotation(theta: float) -> Mat2:
     """((cos t, -sin t), (sin t, cos t)): fixes i, turns the tangent by 2t."""
     c, s = math.cos(theta), math.sin(theta)

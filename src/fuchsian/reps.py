@@ -21,6 +21,7 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from math import pi
 
 # lift, cover_mul and cover_inv stay importable here: bench/tracer.py wraps
@@ -51,6 +52,8 @@ class Representation:
     Construction does not enforce the relation, so solver iterates and other
     unvalidated candidates can be carried around; anything consuming the
     representation as a representation checks relation_residual itself.
+    The relation word and its cover lift are evaluated on first use and kept
+    on the instance, not keyed by value: equal instances each compute theirs.
     """
 
     genus: int
@@ -73,15 +76,32 @@ class Representation:
         eye = Mat2.identity()
         return cls(genus, (eye,) * genus, (eye,) * genus)
 
+    @cached_property
+    def _relation(self) -> "tuple | ValueError":
+        """Entries of the relation word, or the error that stopped its renormalization."""
+        # The word P A_1 B_1 A_1^-1 B_1^-1 ... multiplied left to right from P = I.
+        P = _EYE
+        try:
+            for A, B in zip(self.gens_a, self.gens_b):
+                a = (A.a, A.b, A.c, A.d)
+                b = (B.a, B.b, B.c, B.d)
+                P = _mul(_mul(_mul(_mul(P, a), b), _inv(a)), _inv(b))
+        except ValueError as exc:
+            return exc.with_traceback(None)
+        return P
 
-def _relation_entries(r: Representation) -> tuple:
-    # The word P A_1 B_1 A_1^-1 B_1^-1 ... multiplied left to right from P = I.
-    P = _EYE
-    for A, B in zip(r.gens_a, r.gens_b):
-        a = (A.a, A.b, A.c, A.d)
-        b = (B.a, B.b, B.c, B.d)
-        P = _mul(_mul(_mul(_mul(P, a), b), _inv(a)), _inv(b))
-    return P
+    @cached_property
+    def _lifted_relation(self) -> tuple:
+        """The relation word lifted on principal branches, (entries, n); a
+        NonIntegral carry is raised, not kept."""
+        # Each commutator is (ta tb)(ta^-1 tb^-1); the total accumulates from the left.
+        total = None
+        for A, B in zip(self.gens_a, self.gens_b):
+            ta = ((A.a, A.b, A.c, A.d), 0)
+            tb = ((B.a, B.b, B.c, B.d), 0)
+            comm = _cmul(_cmul(ta, tb), _cmul(_cinv(ta), _cinv(tb)))
+            total = comm if total is None else _cmul(total, comm)
+        return total
 
 
 def _distance_to_pm_eye(m: tuple) -> tuple[float, float]:
@@ -95,7 +115,10 @@ def relation_product(r: Representation) -> Mat2:
     product of the word cannot be renormalized onto det = 1, the case where
     relation_residual returns inf.
     """
-    return _mat(_relation_entries(r))
+    P = r._relation
+    if isinstance(P, ValueError):
+        raise ValueError(*P.args)
+    return _mat(P)
 
 
 def relation_residual(r: Representation) -> float:
@@ -105,9 +128,8 @@ def relation_residual(r: Representation) -> float:
     det = 1 (its entries overflow, or rounding drives its det to zero or
     below): the relation cannot be verified for such generators.
     """
-    try:
-        P = _relation_entries(r)
-    except ValueError:
+    P = r._relation
+    if isinstance(P, ValueError):
         return math.inf
     return min(_distance_to_pm_eye(P))
 
@@ -164,23 +186,20 @@ def toledo(
     """Toledo invariant of a representation satisfying the relation.
 
     branches, when given, holds 2g integers choosing the lift branch of
-    A_1, B_1, ..., A_g, B_g in that order; the result must not depend on it.
+    A_1, B_1, ..., A_g, B_g in that order.  Only their count is checked:
+    the integer winding of a commutator of lifts on branches k and l gains
+    k + l - k - l = 0, and the Euler cocycle carries read only the matrices,
+    so the result cannot depend on them and is read from the principal
+    lift.  That lift and the relation product are each evaluated once per
+    Representation instance; the checks below run on every call.
     NonIntegral when a cover carry is farther than cover.CARRY_TOL from its
     integer, or raw farther than NONINTEGRAL_TOL from the lattice.
     """
     _require_relation(r, rel_tol)
-    if branches is None:
-        branches = (0,) * (2 * r.genus)
-    if len(branches) != 2 * r.genus:
+    if branches is not None and len(branches) != 2 * r.genus:
         raise ValueError(f"need {2 * r.genus} branch integers, got {len(branches)}")
 
-    # Each commutator is (ta tb)(ta^-1 tb^-1); the total accumulates from the left.
-    total = None
-    for i, (A, B) in enumerate(zip(r.gens_a, r.gens_b)):
-        ta = ((A.a, A.b, A.c, A.d), branches[2 * i])
-        tb = ((B.a, B.b, B.c, B.d), branches[2 * i + 1])
-        comm = _cmul(_cmul(ta, tb), _cmul(_cinv(ta), _cinv(tb)))
-        total = comm if total is None else _cmul(total, comm)
+    total = r._lifted_relation
     m, phi = total[0], _phi(total)
 
     dist_plus, dist_minus = _distance_to_pm_eye(m)
@@ -232,9 +251,10 @@ def reflect_conjugate(r: Representation) -> Representation:
 def branch_independence_check(
     r: Representation, seed: int, trials: int = 20, span: int = 3
 ) -> bool:
-    """Recompute the invariant under random branch choices in [-span, span].
+    """Ask for the invariant under random branch choices in [-span, span].
 
-    True when every trial reproduces the principal-branch integer exactly.
+    True when every trial reproduces the principal-branch integer exactly,
+    as toledo guarantees by construction.
     """
     base = toledo(r).value
     rng = random.Random(seed)

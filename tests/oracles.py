@@ -3,22 +3,27 @@
 Each oracle computes a quantity the package also computes, by an
 independent route: the polygon radius by bisection on the interior angle,
 the polygon area by quadrature, the relation Jacobian by central finite
-differences (with its rank from the singular values), and the Toledo
-invariant by transporting a float winding through the cover products.
+differences (with its rank from the singular values), the Toledo
+invariant by transporting a float winding through the cover products, and
+the hyperbolic distance by the length of a fine polyline.  One is a former
+implementation kept for comparison: the Toledo invariant with every lift
+on its own branch, the per-branch kernel loop that reps.toledo replaced by
+the principal lift kept on the representation.
 """
 import cmath
 import math
 
 import numpy as np
 
-from fuchsian.cover import EXP_TOL
-from fuchsian.halfplane import _act, _inv, _j, _mul
+from fuchsian.cover import EXP_TOL, _cinv, _cmul, _phi
+from fuchsian.halfplane import _act, _frobenius, _inv, _j, _mul
 from fuchsian.polygons import (
     HyperbolicPolygon,
     _triangle_angle,
     _vertices_at_radius,
     side_pairings,
 )
+from fuchsian.reps import ToledoResult
 from fuchsian.solver import coords_from_rep
 
 FD_STEP = 1e-6
@@ -101,6 +106,23 @@ def fd_svd_rank(r, rel_cutoff: float = 1e-6, noise_floor: float = 1e-8) -> int:
     sigma = np.linalg.svd(J, compute_uv=False)
     cutoff = max(rel_cutoff * float(sigma.max(initial=0.0)), noise_floor)
     return int(np.sum(sigma > cutoff))
+
+
+def path_length(points: "list | tuple") -> float:
+    """Length of a polyline: each chord weighted by the geometric mean height.
+
+    The oracle for hyp_distance, on the polyline through geodesic_points.
+
+    This is the midpoint-rule discretization of the arc length integral; it
+    converges to the true length of the traced curve as the polyline refines.
+    """
+    if len(points) < 2:
+        raise ValueError("need at least two points")
+    total = 0.0
+    for z, w in zip(points, points[1:]):
+        chord = math.hypot(w.x - z.x, w.y - z.y)
+        total += chord / math.sqrt(z.y * w.y)
+    return total
 
 
 def _to_disk(z: complex) -> complex:
@@ -218,3 +240,28 @@ def transport_toledo_raw(r, branches=None) -> float:
         comm = _transport_mul(_transport_mul(ta, tb), _transport_mul(_transport_inv(ta), _transport_inv(tb)))
         total = comm if total is None else _transport_mul(total, comm)
     return total[1].imag / math.pi
+
+
+def per_branch_toledo(r, branches=None) -> ToledoResult:
+    """The Toledo invariant with each generator lifted on its own branch.
+
+    Lifts A_1, B_1, ..., A_g, B_g on branches[0], ..., branches[2g - 1] (all
+    0 when None), multiplies the word with the cover kernels in the
+    association order of reps.toledo, and rounds to the lattice as it does.
+    The relation and the distance to the lattice are not checked.
+    """
+    if branches is None:
+        branches = (0,) * (2 * r.genus)
+    total = None
+    for i, (A, B) in enumerate(zip(r.gens_a, r.gens_b)):
+        ta = ((A.a, A.b, A.c, A.d), branches[2 * i])
+        tb = ((B.a, B.b, B.c, B.d), branches[2 * i + 1])
+        comm = _cmul(_cmul(ta, tb), _cmul(_cinv(ta), _cinv(tb)))
+        total = comm if total is None else _cmul(total, comm)
+    m, phi = total[0], _phi(total)
+    dist_plus = _frobenius(m, (1.0, 0.0, 0.0, 1.0))
+    dist_minus = _frobenius(m, (-1.0, -0.0, -0.0, -1.0))
+    psl_only = dist_minus < dist_plus
+    raw = phi.imag / math.pi
+    value = round(raw) if psl_only else 2 * round(raw / 2.0)
+    return ToledoResult(int(value), raw, abs(raw - value), min(dist_plus, dist_minus), psl_only)

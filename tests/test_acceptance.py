@@ -22,7 +22,6 @@ from fuchsian.halfplane import (
     hyp_distance,
     j_cocycle,
     mobius_act,
-    path_length,
 )
 from fuchsian.polygons import polygon_area, regular_polygon, side_pairings
 from fuchsian.reps import (
@@ -40,6 +39,7 @@ from fuchsian.solver import (
     jacobian_rank,
     solve,
 )
+from oracles import path_length
 from test_cover import phi_increment_quadrature
 
 I = HPoint(0.0, 1.0)

@@ -114,6 +114,24 @@ def test_toledo_genus_one_large_entries(A, code, tmp_path, capsys):
         assert len(lines) == 1 and lines[0].startswith("error Euler cocycle carry")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["genus 1\nA 1 0 0 1\nB 1e13 0 0 1e-13\n", "genus 1\nA 1e13 0 0 1e-13\nB 1 0 0 1\n"],
+    ids=["far-point-in-B", "far-point-in-A"],
+)
+def test_toledo_past_the_action_guard(text, tmp_path, capsys):
+    # diag(1e13, 1e-13) moves i to 1e26 i, past halfplane's DEN_TOL guard;
+    # the relation closes exactly either way round
+    path = tmp_path / "far.rep"
+    path.write_text(text)
+    assert run(["check-relation", "--in", str(path)]) == 0
+    assert kv(capsys.readouterr().out)["residual"] == "0"
+    assert run(["toledo", "--in", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert kv(captured.out)["value"] == "0"
+    assert captured.err == ""
+
+
 def test_check_relation_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.txt"
     write_rep_file(good, Representation.trivial(1))

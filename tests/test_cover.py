@@ -77,6 +77,19 @@ class TestLift:
         with pytest.raises(ValueError):
             cover_mul(e, e)
 
+    def test_branch_past_float_precision_is_refused(self):
+        # Im phi(i) near 2 pi 1e7 cannot hold a logarithm of j(A, i) to EXP_TOL
+        for k in (10**7, 10**8, 10**17):
+            with pytest.raises(ValueError, match="is not a logarithm"):
+                lift(rotation(0.5), k)
+        with pytest.raises(ValueError, match="is not a logarithm"):
+            cover_mul(lift(Mat2.identity(), 10**6), lift(Mat2.identity(), 9 * 10**6))
+
+    def test_branch_within_float_precision_round_trips(self):
+        e = lift(rotation(0.5), 10**6)
+        assert CoverElement(e.A, e.phi_i) == e
+        assert kernel_value(cover_mul(e, cover_inv(e))).k == 0
+
 
 class TestPhiAt:
     def test_identity_everywhere_zero(self):
@@ -159,6 +172,15 @@ class TestGroupLaws:
         e = CoverElement(rotation(0.5), phi)
         assert abs(cover_mul(e, lift(Mat2.identity(), 0)).phi_i - phi) < 1e-11
         assert abs(cover_inv(e).phi_i + phi) < 1e-11
+
+    def test_point_past_the_action_guard(self):
+        # B moves i to 1e26 i, past halfplane's DEN_TOL guard; the carry of
+        # I B is read from the cocycle identity instead of from that point
+        B = Mat2(1e13, 0.0, 0.0, 1e-13)
+        prod = cover_mul(lift(Mat2.identity(), 0), lift(B, 0))
+        assert prod.A == B
+        assert prod.phi_i == lift(B, 0).phi_i
+        assert kernel_value(cover_mul(cover_inv(lift(B, 0)), prod)) == (0, 0.0)
 
     def test_rotation_inverse_negates_winding(self):
         e = lift(rotation(1.1), 0)

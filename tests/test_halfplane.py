@@ -19,10 +19,10 @@ from fuchsian.halfplane import (
     hyp_distance,
     j_cocycle,
     mobius_act,
-    path_length,
     rotation,
     scaling,
 )
+from oracles import path_length
 
 I = HPoint(0.0, 1.0)
 

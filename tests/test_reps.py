@@ -21,8 +21,9 @@ from fuchsian.reps import (
     relation_residual,
     toledo,
 )
+from fuchsian import reps
 from fuchsian.solver import solve
-from oracles import bisection_rep, transport_toledo_raw
+from oracles import bisection_rep, per_branch_toledo, transport_toledo_raw
 
 
 def rotations_rep(genus, angles_a, angles_b):
@@ -196,6 +197,96 @@ class TestTransportOracle:
             for branches in [None] + [[rng.randint(-3, 3) for _ in range(2 * g)] for _ in range(3)]:
                 assert_matches_transport(r, branches)
                 assert_matches_transport(reflect_conjugate(r), branches)
+
+
+def branch_vectors(g, rng, count=4, span=3):
+    return [None] + [[rng.randint(-span, span) for _ in range(2 * g)] for _ in range(count)]
+
+
+def assert_same_bits_as_per_branch(r, rng):
+    # repr tells every float apart by its bits, -0.0 from 0.0 included
+    for branches in branch_vectors(r.genus, rng):
+        assert repr(toledo(r, branches=branches)) == repr(per_branch_toledo(r, branches))
+
+
+class TestPrincipalLift:
+    # toledo reads one principal lift per instance; the former per-branch
+    # kernel loop must give the same bits under every branch vector
+
+    @pytest.mark.parametrize("g", range(2, 47))
+    def test_polygons_and_reflections(self, g):
+        rng = random.Random(g)
+        r = side_pairings(regular_polygon(g))
+        assert_same_bits_as_per_branch(r, rng)
+        assert_same_bits_as_per_branch(reflect_conjugate(r), rng)
+
+    @pytest.mark.parametrize("g", [2, 3, 5])
+    def test_solves(self, g):
+        rng = random.Random(100 + g)
+        for seed in range(3):
+            r = solve(g, seed=seed)
+            assert_same_bits_as_per_branch(r, rng)
+            assert_same_bits_as_per_branch(reflect_conjugate(r), rng)
+
+    def test_equal_instances_each_evaluate_their_own_words(self, monkeypatch, octagon_rep):
+        calls = {"_cmul": 0, "_mul": 0}
+
+        def counting(name):
+            inner = getattr(reps, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(reps, name, counting(name))
+        text = format_rep(octagon_rep)
+        r1, _ = parse_rep(text)
+        r2, _ = parse_rep(text)
+        assert r1 == r2 and hash(r1) == hash(r2) and r1 is not r2
+        # genus 2: 4 matrix products in the relation word per handle, and
+        # 3 cover products per commutator plus 1 joining the second
+        word = {"_cmul": 7, "_mul": 8}
+
+        first = toledo(r1)
+        assert calls == word
+        assert relation_residual(r1) == relation_residual(r1)
+        assert toledo(r1, branches=[1, -2, 3, 0]) == first
+        relation_product(r1)
+        assert calls == word
+        assert toledo(r2) == first
+        assert calls == {name: 2 * n for name, n in word.items()}
+
+    def test_refusals_are_not_kept(self):
+        # RelationViolated comes before NonIntegral on every call
+        bad = Representation(1, (rotation(0.4),), (scaling(2.0),))
+        for _ in range(2):
+            with pytest.raises(RelationViolated):
+                toledo(bad)
+            with pytest.raises(NonIntegral):
+                toledo(bad, rel_tol=100.0)
+
+    def test_relation_refusal_then_infinite_tolerance(self):
+        # the g = 47 polygon misses REL_TOL, and still has its invariant
+        r = side_pairings(regular_polygon(47))
+        for _ in range(2):
+            with pytest.raises(RelationViolated, match=r"relation residual 1\.115e-06 exceeds 1\.0e-06"):
+                toledo(r)
+        assert toledo(r, rel_tol=math.inf).value == -92
+
+    def test_unrenormalizable_word_is_kept_with_its_message(self):
+        r = Representation(7, (scaling(20.0),) * 7, (rotation(0.7),) * 7)
+        for _ in range(2):
+            assert relation_residual(r) == math.inf
+            with pytest.raises(ValueError, match=r"cannot renormalize entries with det -128\.0"):
+                relation_product(r)
+
+    def test_branch_count_checked_after_the_lift_is_kept(self, octagon_rep):
+        toledo(octagon_rep)
+        for branches in ([0, 0, 0], [0] * 5):
+            with pytest.raises(ValueError, match="need 4 branch integers"):
+                toledo(octagon_rep, branches=branches)
 
 
 class TestChecks:

@@ -13,6 +13,7 @@ without loading numpy.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -36,6 +37,9 @@ EXIT_RELATION_VIOLATED = 3
 EXIT_USAGE = 64
 
 MAX_TILE_DEPTH = 5  # each level multiplies the SVG about 7-fold; depth 5 is 21,506 tiles
+# toledo reads one principal lift whatever the branches, so every trial
+# repeats one value; more trials only add run time
+MAX_BRANCH_TRIALS = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("toledo", help="Toledo invariant of a representation file")
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--branches", type=int, default=0,
-                   help="also verify this many random branch assignments")
+                   help=f"also verify this many random branch assignments, 0 to {MAX_BRANCH_TRIALS}")
     c.add_argument("--seed", type=int, default=0)
 
     c = sub.add_parser("check-relation", help="commutator relation residual")
@@ -110,6 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_toledo(args) -> int:
+    if not 0 <= args.branches <= MAX_BRANCH_TRIALS:
+        raise ValueError(f"branch trials {args.branches} is outside 0..{MAX_BRANCH_TRIALS}")
     rep = repfile.read_rep_file(args.infile)
     result = toledo(rep)
     print(f"value {result.value}")
@@ -126,6 +132,8 @@ def _cmd_toledo(args) -> int:
 
 
 def _cmd_check_relation(args) -> int:
+    if not 0.0 <= args.tol < math.inf:  # also rejects NaN
+        raise ValueError(f"tol must be finite and non-negative, got {args.tol}")
     rep = repfile.read_rep_file(args.infile)
     res = relation_residual(rep)
     print(f"residual {res:.17g}")

@@ -5,13 +5,14 @@ A real matrix ((a, b), (c, d)) with ad - bc = 1 acts on it by the Mobius map
 z -> (az + b)/(cz + d); the matrices A and -A induce the identical map.  This
 module is the scalar numerical core: the matrix and point types, the action
 and its j-cocycle j(A, z) = cz + d, trace classification, and the metric
-(closed-form distance plus a discretized path length used as its oracle).
+(closed-form distance and geodesics).
 
-The arithmetic itself runs on private kernels over plain tuples: _mul, _inv
-and _act take matrices as entry 4-tuples (a, b, c, d) and points as pairs
-(x, y).  Every kernel result passes the same check helper the constructors
-call (_check_mat, _check_point), so the public operations wrap a kernel and
-build their result without checking it a second time.
+The arithmetic itself runs on private kernels over plain tuples: _mul, _inv,
+_act and _dist take matrices as entry 4-tuples (a, b, c, d) and points as
+pairs (x, y).  Every matrix and point a kernel returns passes the same check
+helper the constructors call (_check_mat, _check_point), so the public
+operations wrap a kernel and build their result without checking it a
+second time.
 
 All types are immutable values and all functions are pure, so everything in
 here can be shared or sent across threads freely.
@@ -239,15 +240,24 @@ def mobius_act(A: Mat2, z: HPoint) -> HPoint:
     return _point(_act((A.a, A.b, A.c, A.d), z.x, z.y))
 
 
-def hyp_distance(z: HPoint, w: HPoint) -> float:
-    """Hyperbolic distance arccosh(1 + |z-w|^2 / (2 Im z Im w)).
+def _dist(z: tuple, w: tuple) -> float:
+    """Hyperbolic distance arccosh(1 + |z-w|^2 / (2 Im z Im w)) of two (x, y) pairs.
 
     Written as log1p(u + sqrt(u(u+2))) to avoid cancellation for z near w.
+    _dist(z, w) and _dist(w, z) agree bit for bit: the differences only
+    change sign, and 2.0 * y is exact, so both orders round the same product.
     """
-    dx = z.x - w.x
-    dy = z.y - w.y
-    u = (dx * dx + dy * dy) / (2.0 * z.y * w.y)
+    zx, zy = z
+    wx, wy = w
+    dx = zx - wx
+    dy = zy - wy
+    u = (dx * dx + dy * dy) / (2.0 * zy * wy)
     return math.log1p(u + math.sqrt(u * (u + 2.0)))
+
+
+def hyp_distance(z: HPoint, w: HPoint) -> float:
+    """Hyperbolic distance between two points; see _dist."""
+    return _dist((z.x, z.y), (w.x, w.y))
 
 
 def rotation(theta: float) -> Mat2:

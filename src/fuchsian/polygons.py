@@ -11,6 +11,11 @@ The circumradius R has a closed form: the regular n-gon with interior angle
 alpha has cosh R = cot(alpha/2) cot(pi/n), which for n = 4g and
 alpha = 2*pi/n is cot^2(pi/(4g)) (Beardon, The Geometry of Discrete Groups,
 GTM 91).  The vertices sit at disk radius tanh(R/2).
+
+The construction runs on halfplane's checked tuple kernels: vertices are
+(x, y) pairs and isometries entry 4-tuples (a, b, c, d), each checked as the
+HPoint and Mat2 constructors check them, and every output HPoint and Mat2 is
+built once from its checked tuple.
 """
 from __future__ import annotations
 
@@ -18,12 +23,20 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .halfplane import (
+# mobius_act is not called here; it stays importable because bench/tracer.py
+# wraps it under this name.
+from .halfplane import (  # noqa: F401
     HPoint,
     Mat2,
-    hyp_distance,
+    _act as _checked_act,
+    _check_mat,
+    _check_point,
+    _dist,
+    _inv,
+    _mat,
+    _mul,
+    _point,
     mobius_act,
-    rotation,
 )
 from .reps import Representation
 
@@ -43,8 +56,9 @@ def _from_disk(w: complex) -> complex:
     return 1j * (1.0 + w) / (1.0 - w)
 
 
-def _act(M: Mat2, z: complex) -> complex:
-    return (M.a * z + M.b) / (M.c * z + M.d)
+def _act(m: tuple, z: complex) -> complex:
+    a, b, c, d = m
+    return (a * z + b) / (c * z + d)
 
 
 @dataclass(frozen=True)
@@ -78,30 +92,38 @@ class HyperbolicPolygon:
         return [(self.vertices[k], self.vertices[(k + 1) % n]) for k in range(n)]
 
 
-def _triangle_angle(at: HPoint, p: HPoint, q: HPoint) -> float:
-    """Angle at `at` in the geodesic triangle (at, p, q), by the law of cosines."""
-    a = hyp_distance(at, p)
-    b = hyp_distance(at, q)
-    c = hyp_distance(p, q)
-    num = math.cosh(a) * math.cosh(b) - math.cosh(c)
-    den = math.sinh(a) * math.sinh(b)
-    return math.acos(max(-1.0, min(1.0, num / den)))
-
-
 def interior_angles(vertices) -> list[float]:
-    """Interior angle at each vertex; valid for convex cyclic vertex lists."""
-    n = len(vertices)
-    return [
-        _triangle_angle(vertices[k], vertices[k - 1], vertices[(k + 1) % n])
-        for k in range(n)
-    ]
+    """Interior angle at each vertex; valid for convex cyclic vertex lists.
+
+    The angle at vertex k comes from the law of cosines in the geodesic
+    triangle of vertex k and its two neighbours.  Side k runs from vertex k
+    to vertex k + 1; its length enters the angles at both ends, so it is
+    computed once (_dist is symmetric bit for bit).  ValueError when two
+    consecutive vertices coincide, which leaves a side of length zero.
+    """
+    pts = [(v.x, v.y) for v in vertices]
+    n = len(pts)
+    cosh_side, sinh_side = [], []
+    for k in range(n):
+        d = _dist(pts[k], pts[(k + 1) % n])
+        if d == 0.0:
+            raise ValueError(f"side {k}, from vertex {k} to vertex {(k + 1) % n}, has length zero")
+        cosh_side.append(math.cosh(d))
+        sinh_side.append(math.sinh(d))
+    angles = []
+    for k in range(n):
+        num = cosh_side[k - 1] * cosh_side[k] - math.cosh(_dist(pts[k - 1], pts[(k + 1) % n]))
+        den = sinh_side[k - 1] * sinh_side[k]
+        angles.append(math.acos(max(-1.0, min(1.0, num / den))))
+    return angles
 
 
 def _vertices_at_radius(r: float, n: int) -> list[HPoint]:
-    return [
-        HPoint.from_complex(_from_disk(r * cmath.exp(2j * math.pi * k / n)))
-        for k in range(n)
-    ]
+    vertices = []
+    for k in range(n):
+        z = _from_disk(r * cmath.exp(2j * math.pi * k / n))
+        vertices.append(_point(_check_point((z.real, z.imag))))
+    return vertices
 
 
 def _disk_radius(g: int) -> float:
@@ -130,25 +152,28 @@ def polygon_area(p) -> float:
     return (len(vertices) - 2) * math.pi - sum(angles)
 
 
-def _move_to_i(p: HPoint) -> Mat2:
-    # z -> (z - x)/y as a determinant-one matrix
-    s = math.sqrt(p.y)
-    return Mat2(1.0 / s, -p.x / s, 0.0, s)
+def _move_to_i(x: float, y: float) -> tuple:
+    # z -> (z - x)/y as determinant-one entries
+    s = math.sqrt(y)
+    return _check_mat((1.0 / s, -x / s, 0.0, s))
 
 
-def _carrier(p1: HPoint, p2: HPoint, q1: HPoint, q2: HPoint) -> Mat2:
-    """The orientation-preserving isometry with p1 -> q1, p2 -> q2.
+def _carrier(p1: tuple, p2: tuple, q1: tuple, q2: tuple) -> tuple:
+    """Entries of the orientation-preserving isometry with p1 -> q1, p2 -> q2.
 
     Both segments are swept to a canonical position at i and the residual
     rotation about i is read off in disk coordinates, where the rotation
     matrix with parameter t acts as multiplication by exp(-2it).
     """
-    Cp = _move_to_i(p1)
-    Cq = _move_to_i(q1)
-    wp = _act(Cp, p2.z)
-    wq = _act(Cq, q2.z)
+    Cp = _move_to_i(*p1)
+    Cq = _move_to_i(*q1)
+    wp = _act(Cp, complex(*p2))
+    wq = _act(Cq, complex(*q2))
     alpha = cmath.phase((wq - 1j) / (wq + 1j)) - cmath.phase((wp - 1j) / (wp + 1j))
-    return Cq.inv() @ rotation(-0.5 * alpha) @ Cp
+    t = -0.5 * alpha
+    c, s = math.cos(t), math.sin(t)
+    rot = _check_mat((c, -s, s, c))  # rotation(t) as entries
+    return _mul(_mul(_inv(Cq), rot), Cp)
 
 
 def side_pairings(p: HyperbolicPolygon) -> Representation:
@@ -166,7 +191,7 @@ def side_pairings(p: HyperbolicPolygon) -> Representation:
     word [A_1,B_1]...[A_g,B_g], which is why the commutator relation closes
     at +I when the interior angles sum to 2*pi.
     """
-    vs = p.vertices
+    vs = [(v.x, v.y) for v in p.vertices]
     n = len(vs)
     gens_a: list[Mat2] = []
     gens_b: list[Mat2] = []
@@ -180,15 +205,15 @@ def side_pairings(p: HyperbolicPolygon) -> Representation:
         B = _carrier(*b_src, *b_tgt)
         _certify(A, *a_src, *a_tgt)
         _certify(B, *b_src, *b_tgt)
-        gens_a.append(A)
-        gens_b.append(B)
+        gens_a.append(_mat(A))
+        gens_b.append(_mat(B))
     return Representation(p.genus, tuple(gens_a), tuple(gens_b))
 
 
-def _certify(M: Mat2, p1: HPoint, p2: HPoint, q1: HPoint, q2: HPoint) -> None:
+def _certify(m: tuple, p1: tuple, p2: tuple, q1: tuple, q2: tuple) -> None:
     err = max(
-        hyp_distance(mobius_act(M, p1), q1),
-        hyp_distance(mobius_act(M, p2), q2),
+        _dist(_checked_act(m, *p1), q1),
+        _dist(_checked_act(m, *p2), q2),
     )
     if err > PAIRING_TOL:
         raise PairingFailed(

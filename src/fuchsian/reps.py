@@ -253,8 +253,13 @@ def branch_independence_check(
 ) -> bool:
     """Ask for the invariant under random branch choices in [-span, span].
 
-    True when every trial reproduces the principal-branch integer exactly,
-    as toledo guarantees by construction.
+    True when every trial reproduces the principal-branch integer exactly.
+    This holds by construction in the integer kernel: lifts on branches k
+    and l give each commutator the winding k + l - k - l = 0, so toledo
+    reads the principal lift whatever the branches and no trial can differ.
+    The check stays for the `branch_independent` line of `fuchsian toledo
+    --branches N`; the test that lifts each generator on its own branch is
+    per_branch_toledo in tests/oracles.py.
     """
     base = toledo(r).value
     rng = random.Random(seed)

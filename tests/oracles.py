@@ -5,10 +5,14 @@ independent route: the polygon radius by bisection on the interior angle,
 the polygon area by quadrature, the relation Jacobian by central finite
 differences (with its rank from the singular values), the Toledo
 invariant by transporting a float winding through the cover products, and
-the hyperbolic distance by the length of a fine polyline.  One is a former
-implementation kept for comparison: the Toledo invariant with every lift
+the hyperbolic distance by the length of a fine polyline.  Two are former
+implementations kept for comparison: the Toledo invariant with every lift
 on its own branch, the per-branch kernel loop that reps.toledo replaced by
-the principal lift kept on the representation.
+the principal lift kept on the representation; and the regular polygon and
+its side pairings built on HPoint and Mat2 objects (Mat2 @, rotation,
+mobius_act, hyp_distance), with three distances per interior angle, which
+polygons replaced by the tuple kernels.  The kernels must match them bit
+for bit.
 """
 import cmath
 import math
@@ -16,17 +20,108 @@ import math
 import numpy as np
 
 from fuchsian.cover import EXP_TOL, _cinv, _cmul, _phi
-from fuchsian.halfplane import _act, _frobenius, _inv, _j, _mul
+from fuchsian.halfplane import (
+    HPoint,
+    Mat2,
+    _act,
+    _frobenius,
+    _inv,
+    _j,
+    _mul,
+    hyp_distance,
+    mobius_act,
+    rotation,
+)
 from fuchsian.polygons import (
+    PAIRING_TOL,
     HyperbolicPolygon,
-    _triangle_angle,
+    PairingFailed,
+    _from_disk,
     _vertices_at_radius,
     side_pairings,
 )
-from fuchsian.reps import ToledoResult
+from fuchsian.reps import Representation, ToledoResult
 from fuchsian.solver import coords_from_rep
 
 FD_STEP = 1e-6
+
+
+def _triangle_angle(at: HPoint, p: HPoint, q: HPoint) -> float:
+    """Angle at `at` in the geodesic triangle (at, p, q), by the law of cosines."""
+    a = hyp_distance(at, p)
+    b = hyp_distance(at, q)
+    c = hyp_distance(p, q)
+    num = math.cosh(a) * math.cosh(b) - math.cosh(c)
+    den = math.sinh(a) * math.sinh(b)
+    return math.acos(max(-1.0, min(1.0, num / den)))
+
+
+def object_vertices(r: float, n: int) -> list[HPoint]:
+    """The n vertices at disk radius r, each built by the checked HPoint constructor."""
+    return [
+        HPoint.from_complex(_from_disk(r * cmath.exp(2j * math.pi * k / n)))
+        for k in range(n)
+    ]
+
+
+def per_vertex_interior_angles(vertices) -> list[float]:
+    """Interior angle at each vertex, each triangle measured on its own."""
+    n = len(vertices)
+    return [
+        _triangle_angle(vertices[k], vertices[k - 1], vertices[(k + 1) % n])
+        for k in range(n)
+    ]
+
+
+def _move_to_i(p: HPoint) -> Mat2:
+    # z -> (z - x)/y as a determinant-one matrix
+    s = math.sqrt(p.y)
+    return Mat2(1.0 / s, -p.x / s, 0.0, s)
+
+
+def _complex_act(M: Mat2, z: complex) -> complex:
+    return (M.a * z + M.b) / (M.c * z + M.d)
+
+
+def _object_carrier(p1: HPoint, p2: HPoint, q1: HPoint, q2: HPoint) -> Mat2:
+    Cp = _move_to_i(p1)
+    Cq = _move_to_i(q1)
+    wp = _complex_act(Cp, p2.z)
+    wq = _complex_act(Cq, q2.z)
+    alpha = cmath.phase((wq - 1j) / (wq + 1j)) - cmath.phase((wp - 1j) / (wp + 1j))
+    return Cq.inv() @ rotation(-0.5 * alpha) @ Cp
+
+
+def _object_certify(M: Mat2, p1: HPoint, p2: HPoint, q1: HPoint, q2: HPoint) -> None:
+    err = max(
+        hyp_distance(mobius_act(M, p1), q1),
+        hyp_distance(mobius_act(M, p2), q2),
+    )
+    if err > PAIRING_TOL:
+        raise PairingFailed(
+            f"pairing misses its target side by {err:.3e} (tol {PAIRING_TOL:.1e})"
+        )
+
+
+def object_side_pairings(p: HyperbolicPolygon) -> Representation:
+    """polygons.side_pairings on Mat2 and HPoint objects, the same labels and order."""
+    vs = p.vertices
+    n = len(vs)
+    gens_a: list[Mat2] = []
+    gens_b: list[Mat2] = []
+    for j in range(p.genus):
+        m = 4 * j
+        a_src = (vs[(m + 2) % n], vs[(m + 3) % n])
+        a_tgt = (vs[(m + 1) % n], vs[m % n])
+        b_src = (vs[(m + 1) % n], vs[(m + 2) % n])
+        b_tgt = (vs[(m + 4) % n], vs[(m + 3) % n])
+        A = _object_carrier(*a_src, *a_tgt)
+        B = _object_carrier(*b_src, *b_tgt)
+        _object_certify(A, *a_src, *a_tgt)
+        _object_certify(B, *b_src, *b_tgt)
+        gens_a.append(A)
+        gens_b.append(B)
+    return Representation(p.genus, tuple(gens_a), tuple(gens_b))
 
 
 def bisection_radius(g: int) -> float:

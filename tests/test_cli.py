@@ -7,11 +7,12 @@ from pathlib import Path
 import pytest
 
 import fuchsian
-from fuchsian.cli import run
+from fuchsian.cli import MAX_BRANCH_TRIALS, run
 from fuchsian.halfplane import rotation, scaling, Mat2
-from fuchsian.polygons import _move_to_i, regular_polygon, side_pairings
+from fuchsian.polygons import regular_polygon, side_pairings
 from fuchsian.repfile import format_rep, parse_rep, read_rep_file, write_rep_file
 from fuchsian.reps import Representation, relation_residual, toledo
+from oracles import _move_to_i
 
 
 def kv(captured: str) -> dict:
@@ -140,6 +141,36 @@ def test_check_relation_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     write_rep_file(bad, Representation(1, (scaling(2.0),), (Mat2(1.0, 1.0, 0.0, 1.0),)))
     assert run(["check-relation", "--in", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_check_relation_tol_outside_domain_exits_64(tol, tmp_path, capsys):
+    # the seven-handle word has residual inf, which no tolerance can verify
+    path = tmp_path / "seven.rep"
+    write_rep_file(path, Representation(7, (scaling(20.0),) * 7, (rotation(0.7),) * 7))
+    assert run(["check-relation", "--in", str(path), f"--tol={tol}"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error tol must be finite and non-negative")
+
+
+def test_check_relation_tol_zero_is_legal(tmp_path, capsys):
+    path = tmp_path / "trivial.rep"
+    write_rep_file(path, Representation.trivial(2))
+    assert run(["check-relation", "--in", str(path), "--tol", "0"]) == 0
+    assert kv(capsys.readouterr().out) == {"residual": "0", "tol": "0"}
+
+
+@pytest.mark.parametrize("branches", ["-3", str(MAX_BRANCH_TRIALS + 1), "3000000"])
+def test_toledo_branches_outside_domain_exits_64(branches, tmp_path, capsys):
+    path = tmp_path / "trivial.rep"
+    write_rep_file(path, Representation.trivial(2))
+    assert run(["toledo", "--in", str(path), f"--branches={branches}"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error branch trials {branches} is outside")
 
 
 @pytest.mark.parametrize("command, code", [("check-relation", 1), ("toledo", 3)])

@@ -24,7 +24,13 @@ from fuchsian.polygons import (
     side_pairings,
 )
 from fuchsian.reps import relation_product, relation_residual, toledo
-from oracles import bisection_radius, polygon_area_numeric
+from oracles import (
+    bisection_radius,
+    object_side_pairings,
+    object_vertices,
+    per_vertex_interior_angles,
+    polygon_area_numeric,
+)
 
 I = HPoint(0.0, 1.0)
 
@@ -78,6 +84,29 @@ class TestRegularPolygon:
     def test_small_genus_rejected(self, g):
         with pytest.raises(GenusTooSmall):
             regular_polygon(g)
+
+    def test_matches_object_oracle_bit_for_bit(self):
+        # the tuple kernels keep every float operation of the object
+        # construction in its order, so every output agrees by repr
+        for g in [*range(2, 61), 100, 150]:
+            p = regular_polygon(g)
+            vertices = object_vertices(_disk_radius(g), 4 * g)
+            assert repr(p.vertices) == repr(tuple(vertices)), g
+            angles = per_vertex_interior_angles(vertices)
+            assert repr(interior_angles(p.vertices)) == repr(angles), g
+            area = (len(vertices) - 2) * math.pi - sum(angles)
+            assert repr(polygon_area(p)) == repr(area), g
+            assert repr(side_pairings(p)) == repr(object_side_pairings(p)), g
+
+    def test_coincident_vertices_name_the_zero_length_side(self):
+        vs = [HPoint(0.0, 1.0), HPoint(0.0, 1.0), HPoint(1.0, 2.0), HPoint(-1.0, 2.0)]
+        message = "side 0, from vertex 0 to vertex 1, has length zero"
+        with pytest.raises(ValueError, match=message):
+            interior_angles(vs)
+        with pytest.raises(ValueError, match=message):
+            polygon_area(vs)
+        with pytest.raises(ValueError, match=message):
+            HyperbolicPolygon(tuple(vs * 2), 2)
 
     def test_polygon_type_rejects_unequal_angles(self):
         # a visibly irregular quadrilateral-ish vertex list cannot pass
@@ -134,9 +163,9 @@ class TestSidePairings:
         assert abs(toledo(rep).value) == 2 * g - 2
 
     def test_certify_rejects_wrong_target(self, octagon):
-        vs = octagon.vertices
+        vs = [(v.x, v.y) for v in octagon.vertices]
         with pytest.raises(PairingFailed):
-            _certify(Mat2.identity(), vs[0], vs[1], vs[4], vs[5])
+            _certify((1.0, 0.0, 0.0, 1.0), vs[0], vs[1], vs[4], vs[5])
 
     def _sides(self, octagon):
         vs = octagon.vertices

@@ -37,6 +37,10 @@ EXIT_RELATION_VIOLATED = 3
 EXIT_USAGE = 64
 
 MAX_TILE_DEPTH = 5  # each level multiplies the SVG about 7-fold; depth 5 is 21,506 tiles
+# the polygon envelope is scanned up to genus 150; past it fuchsian-gen is
+# long refused (its relation misses REL_TOL from genus 47), the side pairings
+# miss PAIRING_TOL near genus 933, and solve allocates 2g coordinate rows
+MAX_GENUS = 150
 # toledo reads one principal lift whatever the branches, so every trial
 # repeats one value; more trials only add run time
 MAX_BRANCH_TRIALS = 1000
@@ -249,6 +253,8 @@ _HANDLERS = {
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "genus", 0) > MAX_GENUS:
+            raise ValueError(f"genus {args.genus} is above {MAX_GENUS}")
         return _HANDLERS[args.command](args)
     except RelationViolated as exc:
         print(f"error {exc}", file=sys.stderr)

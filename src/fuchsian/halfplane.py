@@ -151,9 +151,15 @@ def _mat(m: tuple) -> Mat2:
 
 
 def _frobenius(m: tuple, n: tuple) -> float:
-    return math.sqrt(
-        (m[0] - n[0]) ** 2 + (m[1] - n[1]) ** 2 + (m[2] - n[2]) ** 2 + (m[3] - n[3]) ** 2
-    )
+    # ** raises OverflowError for a difference past about 1.3e154; x * x
+    # would give inf, but differs from libm's pow in the last bit for about
+    # one square in 1200, which would move reported residuals
+    try:
+        return math.sqrt(
+            (m[0] - n[0]) ** 2 + (m[1] - n[1]) ** 2 + (m[2] - n[2]) ** 2 + (m[3] - n[3]) ** 2
+        )
+    except OverflowError:
+        return math.inf
 
 
 def frobenius_distance(A: Mat2, B: Mat2) -> float:

@@ -2,11 +2,15 @@
 
 A genus-g representation is the tuple (A_1, B_1, ..., A_g, B_g) of images of
 the standard generators, constrained by the single relation
-[A_1,B_1]...[A_g,B_g] = I.  The Toledo invariant lifts each generator to the
-universal cover, multiplies the lifted commutators, and reads the winding of
-the resulting central element: tau = Im phi(i) / pi.  It does not depend on
-the branch chosen for any lift, because each lift appears in a commutator
-together with its inverse.
+[A_1,B_1]...[A_g,B_g] = I.  The relation product multiplies the 4g letters
+A_1, B_1, A_1^-1, B_1^-1, ... left to right, through partial products
+P_0 = I, P_k = P_{k-1} L_k.  The Toledo invariant lifts that same word to the
+universal cover on principal branches and reads the winding of the resulting
+central element: tau = Im phi(i) / pi, where phi(i) = Log j(P_4g, i) + 2 pi i n
+and the integer n sums the Euler cocycle carries c(P_{k-1}, L_k, P_k) of the
+word's products, plus -c(A, A^-1, I) for the lift of each inverse letter.  It
+does not depend on the branch chosen for any lift, because each lift appears
+in a commutator together with its inverse.
 
 Side-pairing constructions may satisfy the relation only up to sign (the
 product lands on -I).  Commutators are blind to the signs of the individual
@@ -26,7 +30,7 @@ from math import pi
 
 # lift, cover_mul and cover_inv stay importable here: bench/tracer.py wraps
 # them under these names.
-from .cover import NonIntegral, _cinv, _cmul, _phi, cover_inv, cover_mul, lift  # noqa: F401
+from .cover import NonIntegral, _cocycle, _phi, cover_inv, cover_mul, lift  # noqa: F401
 from .halfplane import Mat2, _frobenius, _inv, _mat, _mul
 
 _EYE = (1.0, 0.0, 0.0, 1.0)
@@ -52,8 +56,9 @@ class Representation:
     Construction does not enforce the relation, so solver iterates and other
     unvalidated candidates can be carried around; anything consuming the
     representation as a representation checks relation_residual itself.
-    The relation word and its cover lift are evaluated on first use and kept
-    on the instance, not keyed by value: equal instances each compute theirs.
+    The relation word (its letters and partial products) and the integer
+    winding of its principal lift are evaluated on first use and kept on the
+    instance, not keyed by value: equal instances each compute theirs.
     """
 
     genus: int
@@ -78,30 +83,43 @@ class Representation:
 
     @cached_property
     def _relation(self) -> "tuple | ValueError":
-        """Entries of the relation word, or the error that stopped its renormalization."""
-        # The word P A_1 B_1 A_1^-1 B_1^-1 ... multiplied left to right from P = I.
-        P = _EYE
+        """The relation word as (letters, partial products), or the error
+        that stopped its renormalization."""
+        # Letters A_1, B_1, A_1^-1, B_1^-1, ... multiplied left to right:
+        # P_0 = I and P_k = P_{k-1} L_k, so the last partial product is the word.
+        letters, partials = [], [_EYE]
         try:
             for A, B in zip(self.gens_a, self.gens_b):
                 a = (A.a, A.b, A.c, A.d)
                 b = (B.a, B.b, B.c, B.d)
-                P = _mul(_mul(_mul(_mul(P, a), b), _inv(a)), _inv(b))
+                for L in (a, b, _inv(a), _inv(b)):
+                    letters.append(L)
+                    partials.append(_mul(partials[-1], L))
         except ValueError as exc:
             return exc.with_traceback(None)
-        return P
+        return letters, partials
 
     @cached_property
-    def _lifted_relation(self) -> tuple:
-        """The relation word lifted on principal branches, (entries, n); a
-        NonIntegral carry is raised, not kept."""
-        # Each commutator is (ta tb)(ta^-1 tb^-1); the total accumulates from the left.
-        total = None
-        for A, B in zip(self.gens_a, self.gens_b):
-            ta = ((A.a, A.b, A.c, A.d), 0)
-            tb = ((B.a, B.b, B.c, B.d), 0)
-            comm = _cmul(_cmul(ta, tb), _cmul(_cinv(ta), _cinv(tb)))
-            total = comm if total is None else _cmul(total, comm)
-        return total
+    def _winding(self) -> int:
+        """Integer winding n of the relation word lifted on principal branches;
+        a NonIntegral carry is raised, not kept."""
+        letters, partials = _word(self)
+        n = 0
+        for k, L in enumerate(letters):
+            if k % 4 >= 2:
+                # L = A^-1, lifted as the inverse of A's principal lift
+                n -= _cocycle(letters[k - 2], L, _EYE)
+            n += _cocycle(partials[k], L, partials[k + 1])
+        return n
+
+
+def _word(r: Representation) -> tuple:
+    """(letters, partial products) of the relation word; ValueError when a
+    partial product cannot be renormalized."""
+    word = r._relation
+    if isinstance(word, ValueError):
+        raise ValueError(*word.args)
+    return word
 
 
 def _distance_to_pm_eye(m: tuple) -> tuple[float, float]:
@@ -115,10 +133,7 @@ def relation_product(r: Representation) -> Mat2:
     product of the word cannot be renormalized onto det = 1, the case where
     relation_residual returns inf.
     """
-    P = r._relation
-    if isinstance(P, ValueError):
-        raise ValueError(*P.args)
-    return _mat(P)
+    return _mat(_word(r)[1][-1])
 
 
 def relation_residual(r: Representation) -> float:
@@ -128,10 +143,10 @@ def relation_residual(r: Representation) -> float:
     det = 1 (its entries overflow, or rounding drives its det to zero or
     below): the relation cannot be verified for such generators.
     """
-    P = r._relation
-    if isinstance(P, ValueError):
+    word = r._relation
+    if isinstance(word, ValueError):
         return math.inf
-    return min(_distance_to_pm_eye(P))
+    return min(_distance_to_pm_eye(word[1][-1]))
 
 
 def _require_relation(r: Representation, rel_tol: float = REL_TOL) -> None:
@@ -190,8 +205,10 @@ def toledo(
     the integer winding of a commutator of lifts on branches k and l gains
     k + l - k - l = 0, and the Euler cocycle carries read only the matrices,
     so the result cannot depend on them and is read from the principal
-    lift.  That lift and the relation product are each evaluated once per
-    Representation instance; the checks below run on every call.
+    lift.  The lift winds the relation word whose residual the relation
+    check reads, so kernel_matrix_residual equals relation_residual(r).
+    The word is multiplied once per Representation instance and its carries
+    summed once; the checks below run on every call.
     NonIntegral when a cover carry is farther than cover.CARRY_TOL from its
     integer, or raw farther than NONINTEGRAL_TOL from the lattice.
     """
@@ -199,8 +216,8 @@ def toledo(
     if branches is not None and len(branches) != 2 * r.genus:
         raise ValueError(f"need {2 * r.genus} branch integers, got {len(branches)}")
 
-    total = r._lifted_relation
-    m, phi = total[0], _phi(total)
+    m = _word(r)[1][-1]
+    phi = _phi((m, r._winding))
 
     dist_plus, dist_minus = _distance_to_pm_eye(m)
     psl_only = dist_minus < dist_plus

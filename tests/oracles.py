@@ -7,12 +7,12 @@ differences (with its rank from the singular values), the Toledo
 invariant by transporting a float winding through the cover products, and
 the hyperbolic distance by the length of a fine polyline.  Two are former
 implementations kept for comparison: the Toledo invariant with every lift
-on its own branch, the per-branch kernel loop that reps.toledo replaced by
-the principal lift kept on the representation; and the regular polygon and
-its side pairings built on HPoint and Mat2 objects (Mat2 @, rotation,
-mobius_act, hyp_distance), with three distances per interior angle, which
-polygons replaced by the tuple kernels.  The kernels must match them bit
-for bit.
+on its own branch, a cover-kernel loop over the word reps.toledo winds,
+which reps.toledo replaced by the principal lift's carries; and the
+regular polygon and its side pairings built on HPoint and Mat2 objects
+(Mat2 @, rotation, mobius_act, hyp_distance), with three distances per
+interior angle, which polygons replaced by the tuple kernels.  The kernels
+must match them bit for bit.
 """
 import cmath
 import math
@@ -324,16 +324,17 @@ def transport_toledo_raw(r, branches=None) -> float:
     Each element is (entries, phi(i)); a product transports the first
     factor's branch along the second factor's action and re-checks
     exp(phi(i)) = j(A, i) to EXP_TOL.  The word and its association order
-    are those of reps.toledo.
+    are those of reps.toledo: the letters A_1, B_1, A_1^-1, B_1^-1, ...
+    multiplied left to right onto the lift of I.
     """
     if branches is None:
         branches = (0,) * (2 * r.genus)
-    total = None
+    total = _transport_lift(Mat2.identity(), 0)
     for i, (A, B) in enumerate(zip(r.gens_a, r.gens_b)):
         ta = _transport_lift(A, branches[2 * i])
         tb = _transport_lift(B, branches[2 * i + 1])
-        comm = _transport_mul(_transport_mul(ta, tb), _transport_mul(_transport_inv(ta), _transport_inv(tb)))
-        total = comm if total is None else _transport_mul(total, comm)
+        for letter in (ta, tb, _transport_inv(ta), _transport_inv(tb)):
+            total = _transport_mul(total, letter)
     return total[1].imag / math.pi
 
 
@@ -341,18 +342,19 @@ def per_branch_toledo(r, branches=None) -> ToledoResult:
     """The Toledo invariant with each generator lifted on its own branch.
 
     Lifts A_1, B_1, ..., A_g, B_g on branches[0], ..., branches[2g - 1] (all
-    0 when None), multiplies the word with the cover kernels in the
-    association order of reps.toledo, and rounds to the lattice as it does.
-    The relation and the distance to the lattice are not checked.
+    0 when None), multiplies the letters A_1, B_1, A_1^-1, B_1^-1, ... left
+    to right onto the lift of I with the cover kernels, the association
+    order of reps.toledo, and rounds to the lattice as it does.  The
+    relation and the distance to the lattice are not checked.
     """
     if branches is None:
         branches = (0,) * (2 * r.genus)
-    total = None
+    total = ((1.0, 0.0, 0.0, 1.0), 0)
     for i, (A, B) in enumerate(zip(r.gens_a, r.gens_b)):
         ta = ((A.a, A.b, A.c, A.d), branches[2 * i])
         tb = ((B.a, B.b, B.c, B.d), branches[2 * i + 1])
-        comm = _cmul(_cmul(ta, tb), _cmul(_cinv(ta), _cinv(tb)))
-        total = comm if total is None else _cmul(total, comm)
+        for letter in (ta, tb, _cinv(ta), _cinv(tb)):
+            total = _cmul(total, letter)
     m, phi = total[0], _phi(total)
     dist_plus = _frobenius(m, (1.0, 0.0, 0.0, 1.0))
     dist_minus = _frobenius(m, (-1.0, -0.0, -0.0, -1.0))

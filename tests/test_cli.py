@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import fuchsian
-from fuchsian.cli import MAX_BRANCH_TRIALS, run
+from fuchsian.cli import MAX_BRANCH_TRIALS, MAX_GENUS, run
 from fuchsian.halfplane import rotation, scaling, Mat2
 from fuchsian.polygons import regular_polygon, side_pairings
 from fuchsian.repfile import format_rep, parse_rep, read_rep_file, write_rep_file
@@ -91,7 +91,9 @@ def test_toledo_in_the_vertex_frame(genus, value, tmp_path, capsys):
     write_rep_file(path, conj)
     assert run(["check-relation", "--in", str(path)]) == 0
     assert run(["toledo", "--in", str(path)]) == 0
-    assert kv(capsys.readouterr().out)["value"] == value
+    out = kv(capsys.readouterr().out)
+    assert out["value"] == value
+    assert float(out["residual"]) < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -194,6 +196,36 @@ def test_classify_command(capsys):
     out = kv(capsys.readouterr().out)
     assert out["class"] == "Hyperbolic"
     assert float(out["trace"]) == 2.5
+
+
+def test_classify_entries_past_the_square_overflow(capsys):
+    # the distance to +-I squares a difference of 1e200
+    assert run(["classify", "--matrix", "1e200,0,0,1e-200"]) == 0
+    captured = capsys.readouterr()
+    assert kv(captured.out)["class"] == "Hyperbolic"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("command, code", [("check-relation", 1), ("toledo", 3)])
+def test_relation_residual_past_the_square_overflow(command, code, tmp_path, capsys):
+    # [A, B] = (1, 1e160 - 1; 0, 1): its distance to I squares 1e160
+    path = tmp_path / "huge.rep"
+    path.write_text("genus 1\nA 1e80 0 0 1e-80\nB 1 1 0 1\n")
+    assert run([command, "--in", str(path)]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error relation residual inf")
+
+
+@pytest.mark.parametrize("genus", [MAX_GENUS + 1, 10**12])
+@pytest.mark.parametrize("command", ["solve", "polygon", "fuchsian-gen", "tile"])
+def test_genus_above_the_bound_exits_64(command, genus, tmp_path, capsys):
+    path = tmp_path / "out.txt"
+    assert run([command, "--genus", str(genus), "--out", str(path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines == [f"error genus {genus} is above {MAX_GENUS}"]
+    assert not path.exists()
 
 
 def test_solve_command(tmp_path, capsys):

@@ -51,7 +51,7 @@ from .polygons import (
     regular_polygon,
     side_pairings,
 )
-from .euclidean import LatticeGroup, commutator_check, reduce_point
+from .euclidean import LatticeGroup, reduce_point
 from .repfile import format_rep, parse_rep, read_rep_file, write_rep_file
 
 __version__ = "0.1.0"

@@ -7,8 +7,8 @@ violated, 64 argument errors, including an unreadable or malformed input
 file and values outside a command's domain.  Every nonzero exit after
 argument parsing prints one `error ...` line on stderr.
 
-Only `solve` imports the numpy-backed solver, so the other commands start
-without loading numpy.
+Only `solve` imports the solver, so the other commands do not compile or
+load it.  No command loads numpy.
 """
 from __future__ import annotations
 
@@ -36,7 +36,12 @@ EXIT_NON_INTEGRAL = 2
 EXIT_RELATION_VIOLATED = 3
 EXIT_USAGE = 64
 
-MAX_TILE_DEPTH = 5  # each level multiplies the SVG about 7-fold; depth 5 is 21,506 tiles
+# each level multiplies the orbit about (4g - 1)-fold; at genus 2, depth 5
+# enumerates 22,409 words and draws 21,506 tiles
+MAX_TILE_DEPTH = 5
+# bound on the enumerated words 1 + sum_{d=1..depth} 4g (4g - 1)^(d - 1),
+# checked before enumerating; genus 2 at depth 5 meets it exactly
+MAX_TILES = 22_409
 # the polygon envelope is scanned up to genus 150; past it fuchsian-gen is
 # long refused (its relation misses REL_TOL from genus 47), the side pairings
 # miss PAIRING_TOL near genus 933, and solve allocates 2g coordinate rows
@@ -219,7 +224,12 @@ def _cmd_polygon(args) -> int:
 def _cmd_tile(args) -> int:
     if not 0 <= args.depth <= MAX_TILE_DEPTH:
         raise ValueError(f"tile depth {args.depth} is outside 0..{MAX_TILE_DEPTH}")
-    poly = polygons.regular_polygon(args.genus)
+    poly = polygons.regular_polygon(args.genus)  # refuses genus < 2 first
+    n = 4 * args.genus  # generators and their inverses
+    words = 1 + sum(n * (n - 1) ** (d - 1) for d in range(1, args.depth + 1))
+    if words > MAX_TILES:
+        raise ValueError(f"tile genus {args.genus} depth {args.depth} enumerates "
+                         f"{words} words, above {MAX_TILES}")
     rep = polygons.side_pairings(poly)
     svg = tiling.render_tiling(poly, rep, args.depth)
     Path(args.out).write_text(svg)

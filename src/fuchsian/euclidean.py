@@ -67,35 +67,3 @@ def reduce_point(L: LatticeGroup, p: Vec2) -> tuple[Vec2, tuple[int, int]]:
         n, m = n + dn, m + dm
         q = rep(n, m)
     return q, (n, m)
-
-
-def _default_sample(span: float = 10.0, per_axis: int = 5) -> list[Vec2]:
-    step = 2.0 * span / (per_axis - 1)
-    return [
-        (-span + i * step, -span + j * step)
-        for i in range(per_axis)
-        for j in range(per_axis)
-    ]
-
-
-def commutator_check(L: LatticeGroup, points: "list[Vec2] | None" = None) -> float:
-    """Max displacement of A B A^-1 B^-1 over sample points; 0 up to rounding."""
-    if points is None:
-        points = _default_sample()
-    worst = 0.0
-    for p in points:
-        x, y = p
-        x, y = x + L.a[0], y + L.a[1]
-        x, y = x + L.b[0], y + L.b[1]
-        x, y = x - L.a[0], y - L.a[1]
-        x, y = x - L.b[0], y - L.b[1]
-        worst = max(worst, math.hypot(x - p[0], y - p[1]))
-    return worst
-
-
-def euclid_path_length(points: list[Vec2]) -> float:
-    if len(points) < 2:
-        raise ValueError("need at least two points")
-    return sum(
-        math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in zip(points, points[1:])
-    )

@@ -87,10 +87,6 @@ class HyperbolicPolygon:
         if abs(sum(angles) - 2.0 * math.pi) > ANGLE_TOL:
             raise ValueError(f"interior angles sum to {sum(angles)!r}, not 2*pi")
 
-    def sides(self) -> list[tuple[HPoint, HPoint]]:
-        n = len(self.vertices)
-        return [(self.vertices[k], self.vertices[(k + 1) % n]) for k in range(n)]
-
 
 def interior_angles(vertices) -> list[float]:
     """Interior angle at each vertex; valid for convex cyclic vertex lists.

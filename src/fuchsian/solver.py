@@ -5,8 +5,9 @@ factorization rotation(theta) diag(e^s, e^-s) ((1, u), (0, 1)), which hits
 every determinant-one matrix exactly once and has determinant one by
 construction, so the variety lives in R^{6g}.  Coordinates are a list of 2g
 (theta, s, u) triples of Python floats, in the generator order A1, B1, ...,
-Ag, Bg; every function here takes and returns coordinates in that form, and
-numpy only draws the seeded start in solve.  The relation map is treated as
+Ag, Bg; every function here takes and returns coordinates in that form.  The
+seeded start in solve is numpy's default_rng(seed).uniform(-1, 1) stream,
+drawn bit for bit in Python integers.  The relation map is treated as
 valued in R^3 through the entries (P00 - 1, P01, P10) of the commutator
 product; the remaining entry is dependent through det P = 1.
 
@@ -21,9 +22,8 @@ validated where rep_from_coords builds the representation.
 from __future__ import annotations
 
 import math
+import operator
 import sys
-
-import numpy as np
 
 from .halfplane import Mat2
 # jacobian_rank stays importable here: bench/tracer.py wraps it under this
@@ -31,6 +31,11 @@ from .halfplane import Mat2
 from .reps import SOLVE_TOL, Representation, _require_relation, jacobian_rank  # noqa: F401
 
 _EYE = (1.0, 0.0, 0.0, 1.0)
+
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
 
 
 class DidNotConverge(RuntimeError):
@@ -190,6 +195,72 @@ def _damped_step(gram: tuple, cols: list, gap: tuple, lam: float) -> "list | Non
     return [-(x * y0 + y * y1 + z * y2) for x, y, z in cols]
 
 
+def _seed_words(seed: int) -> list:
+    """numpy's SeedSequence(seed).generate_state(4, uint64) for an int seed.
+
+    The seed enters as little-endian 32-bit words, is hashed into a pool of
+    four and mixed, and the pool is hashed out into eight 32-bit words that
+    pair little-endian into four 64-bit ones.  ValueError for a negative
+    seed, with numpy's message.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed & _M32]
+    while seed > _M32:
+        seed >>= 32
+        entropy.append(seed & _M32)
+    # hashmix(v): v ^ h, step h, v * h, fold; mix(x, y): L x - R y, fold
+    h = 0x43B0D7E5
+    pool = []
+    for v in (entropy + [0] * 4)[:4]:  # hashmix the entropy, zero-padded
+        v ^= h
+        h = h * 0x931E8875 & _M32
+        v = v * h & _M32
+        pool.append(v ^ v >> 16)
+    # mix(x, hashmix(y)) into every other pool word x, for y each pool word
+    # and then each entropy word past the fourth
+    for i_src in range(max(4, len(entropy))):
+        y = pool[i_src] if i_src < 4 else entropy[i_src]
+        for i_dst in range(4):
+            if i_dst != i_src:
+                v = y ^ h
+                h = h * 0x931E8875 & _M32
+                v = v * h & _M32
+                x = (0xCA01F9DD * pool[i_dst] - 0x4973F715 * (v ^ v >> 16)) & _M32
+                pool[i_dst] = x ^ x >> 16
+    h = 0x8B51F9DD
+    out = []
+    for i in range(8):  # generate_state: hash the pool out, cycling it twice
+        v = pool[i % 4] ^ h
+        h = h * 0x58F38DED & _M32
+        v = v * h & _M32
+        out.append(v ^ v >> 16)
+    return [lo | hi << 32 for lo, hi in zip(out[0::2], out[1::2])]
+
+
+def _start(genus: int, seed: int) -> list:
+    """default_rng(seed).uniform(-1, 1, (2 * genus, 3)).tolist(), bit for bit.
+
+    numpy's PCG64 is O'Neill's XSL-RR 128/64 generator (PCG, HMC-CS-2014-0905),
+    stepped before each output; the top 53 bits of an output make the double
+    u in [0, 1) of the value -1 + 2u.  Rows fill in row-major order.
+    """
+    # initstate and initseq from _seed_words; from state 0 with increment
+    # 2 initseq + 1: one step, add initstate, one step
+    s0, s1, q0, q1 = _seed_words(seed)
+    inc = (q0 << 65 | q1 << 1 | 1) & _M128
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
+    vals = []
+    for _ in range(6 * genus):
+        state = (state * _PCG_MULT + inc) & _M128
+        x = (state >> 64 ^ state) & _M64
+        r = state >> 122
+        out = (x >> r | x << 64 - r) & _M64  # x rotated right by r
+        vals.append(-1.0 + 2.0 * ((out >> 11) * 2.0 ** -53))
+    return [vals[k:k + 3] for k in range(0, len(vals), 3)]
+
+
 def coords_from_rep(r: Representation) -> list:
     """Recover (theta, s, u) per generator; exact inverse of the factorization."""
     rows = []
@@ -295,13 +366,13 @@ def solve(
 ) -> Representation:
     """Random-start solve; the returned representation satisfies the relation.
 
-    Raises DidNotConverge when the seed leads nowhere; callers reseed.
-    RelationViolated when the result still misses reps.REL_TOL, which a tol
-    looser than the default can allow.
+    The start is _start(genus, seed).  Raises DidNotConverge when the seed
+    leads nowhere; callers reseed.  RelationViolated when the result still
+    misses reps.REL_TOL, which a tol looser than the default can allow.
+    ValueError for a genus below 1 or a negative seed.
     """
     if genus < 1:
         raise ValueError(f"genus must be >= 1, got {genus}")
-    start = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(2 * genus, 3)).tolist()
-    rep = rep_from_coords(refine(start, max_iter=max_iter, tol=tol, verbose=verbose))
+    rep = rep_from_coords(refine(_start(genus, seed), max_iter=max_iter, tol=tol, verbose=verbose))
     _require_relation(rep)
     return rep

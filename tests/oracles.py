@@ -12,7 +12,9 @@ which reps.toledo replaced by the principal lift's carries; and the
 regular polygon and its side pairings built on HPoint and Mat2 objects
 (Mat2 @, rotation, mobius_act, hyp_distance), with three distances per
 interior angle, which polygons replaced by the tuple kernels.  The kernels
-must match them bit for bit.
+must match them bit for bit.  Two flat checks are test-only references for
+euclidean: the displacement of a lattice commutator over sample points, and
+the length of a Euclidean polyline.
 """
 import cmath
 import math
@@ -362,3 +364,35 @@ def per_branch_toledo(r, branches=None) -> ToledoResult:
     raw = phi.imag / math.pi
     value = round(raw) if psl_only else 2 * round(raw / 2.0)
     return ToledoResult(int(value), raw, abs(raw - value), min(dist_plus, dist_minus), psl_only)
+
+
+def _default_sample(span: float = 10.0, per_axis: int = 5) -> list:
+    step = 2.0 * span / (per_axis - 1)
+    return [
+        (-span + i * step, -span + j * step)
+        for i in range(per_axis)
+        for j in range(per_axis)
+    ]
+
+
+def commutator_check(L, points=None) -> float:
+    """Max displacement of A B A^-1 B^-1 over sample points; 0 up to rounding."""
+    if points is None:
+        points = _default_sample()
+    worst = 0.0
+    for p in points:
+        x, y = p
+        x, y = x + L.a[0], y + L.a[1]
+        x, y = x + L.b[0], y + L.b[1]
+        x, y = x - L.a[0], y - L.a[1]
+        x, y = x - L.b[0], y - L.b[1]
+        worst = max(worst, math.hypot(x - p[0], y - p[1]))
+    return worst
+
+
+def euclid_path_length(points: list) -> float:
+    if len(points) < 2:
+        raise ValueError("need at least two points")
+    return sum(
+        math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in zip(points, points[1:])
+    )

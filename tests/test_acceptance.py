@@ -14,7 +14,7 @@ import pytest
 
 from conftest import iwasawa
 from fuchsian.cover import lift, phi_at
-from fuchsian.euclidean import LatticeGroup, commutator_check, reduce_point
+from fuchsian.euclidean import LatticeGroup, reduce_point
 from fuchsian.halfplane import (
     HPoint,
     Mat2,
@@ -39,7 +39,7 @@ from fuchsian.solver import (
     jacobian_rank,
     solve,
 )
-from oracles import path_length
+from oracles import commutator_check, path_length
 from test_cover import phi_increment_quadrature
 
 I = HPoint(0.0, 1.0)

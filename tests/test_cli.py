@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import fuchsian
-from fuchsian.cli import MAX_BRANCH_TRIALS, MAX_GENUS, run
+from fuchsian import cli
+from fuchsian.cli import MAX_BRANCH_TRIALS, MAX_GENUS, MAX_TILES, run
 from fuchsian.halfplane import rotation, scaling, Mat2
 from fuchsian.polygons import regular_polygon, side_pairings
 from fuchsian.repfile import format_rep, parse_rep, read_rep_file, write_rep_file
@@ -293,6 +294,48 @@ def test_tile_depth_out_of_range_exits_64(depth, tmp_path, capsys):
     assert not path.exists()
 
 
+def test_tile_draws_the_depth_3_orbit(tmp_path, capsys):
+    path = tmp_path / "tiling.svg"
+    assert run(["tile", "--genus", "2", "--depth", "3", "--out", str(path)]) == 0
+    assert kv(capsys.readouterr().out)["tiles"] == "445"
+
+
+@pytest.mark.parametrize("genus, depth, words", [
+    (3, 5, 193261),  # 12 * (1 + 11 + 11^2 + 11^3 + 11^4) + 1
+    (8, 3, 31777),
+    (38, 2, 23105),
+])
+def test_tile_above_max_tiles_exits_64_without_enumerating(genus, depth, words, tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("orbit enumerated")
+
+    monkeypatch.setattr(cli.tiling, "orbit_matrices", refuse)
+    path = tmp_path / "tiling.svg"
+    assert run(["tile", "--genus", str(genus), "--depth", str(depth), "--out", str(path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error tile genus {genus} depth {depth} enumerates {words} words, above {MAX_TILES}"
+    ]
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("genus, depth", [(2, 5), (3, 4), (7, 3), (37, 2)])
+def test_tile_at_or_below_max_tiles_is_drawn(genus, depth, tmp_path, capsys, monkeypatch):
+    # genus 2 at depth 5 enumerates exactly MAX_TILES words; the SVG itself is stubbed
+    monkeypatch.setattr(cli.tiling, "render_tiling", lambda poly, rep, depth: "<svg/>")
+    assert run(["tile", "--genus", str(genus), "--depth", str(depth), "--out", str(tmp_path / "t.svg")]) == 0
+
+
+def test_solve_negative_seed_exits_64(tmp_path, capsys):
+    path = tmp_path / "rep.txt"
+    assert run(["solve", "--genus", "2", "--seed=-1", "--out", str(path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error expected non-negative integer"]
+    assert not path.exists()
+
+
 def test_euclid_reduce_command(capsys):
     assert run(["euclid-reduce", "--a", "1,0", "--b", "0,1", "--p", "2.5,-0.75"]) == 0
     out = kv(capsys.readouterr().out)
@@ -364,7 +407,7 @@ def test_solve_tol_looser_than_the_relation_exits_3(tmp_path, capsys):
     assert not path.exists()
 
 
-def test_commands_without_solver_leave_numpy_unloaded(tmp_path):
+def test_commands_leave_numpy_unloaded(tmp_path):
     # each command runs in a fresh interpreter that then reports whether it loaded numpy
     probe = (
         "import sys\n"
@@ -378,6 +421,7 @@ def test_commands_without_solver_leave_numpy_unloaded(tmp_path):
         ["toledo", "--in", "gen.rep"],
         ["check-relation", "--in", "gen.rep"],
         ["dim-check", "--in", "gen.rep"],
+        ["solve", "--genus", "2", "--seed", "5", "--out", "solved.rep"],
         ["tile", "--genus", "2", "--depth", "1", "--out", "tile.svg"],
         ["classify", "--matrix", "2,1,1,1"],
         ["euclid-reduce", "--a", "1,0", "--b", "0,1", "--p", "2.5,-0.75"],

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import warnings
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from fuchsian.solver import (
     _damped_step,
     _gram,
     _matrix,
+    _start,
     coords_from_rep,
     jacobian_rank,
     refine,
@@ -149,6 +151,31 @@ class TestSolve:
         captured = capsys.readouterr()
         assert "residual" in captured.err
         assert captured.out == ""
+
+
+class TestStartDraw:
+    # numpy stays the oracle: the start is default_rng(seed).uniform(-1, 1)
+    EDGE_SEEDS = [2**32 - 1, 2**32, 2**64 + 7, 64734, 2**200 - 1]
+
+    @staticmethod
+    def _numpy_start(genus, seed):
+        return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(2 * genus, 3)).tolist()
+
+    @pytest.mark.parametrize("genus", [1, 2, 5])
+    def test_matches_numpy_bit_for_bit(self, genus):
+        seeds = list(range(2000)) + self.EDGE_SEEDS + [random.Random(genus).getrandbits(200)]
+        mismatched = [s for s in seeds if _start(genus, s) != self._numpy_start(genus, s)]
+        assert mismatched == []
+
+    def test_negative_seed_raises_numpys_error(self):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            _start(2, -1)
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            solve(2, seed=-1)
+
+    def test_seed_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            _start(2, 1.5)
 
 
 def abelian_rep(genus, make):

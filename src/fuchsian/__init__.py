@@ -11,8 +11,6 @@ from .halfplane import (
     classify,
     classify_detailed,
     frobenius_distance,
-    geodesic_midpoint,
-    geodesic_points,
     hyp_distance,
     j_cocycle,
     mobius_act,
@@ -36,7 +34,6 @@ from .reps import (
     ToledoResult,
     branch_independence_check,
     goldman_fuchsian_test,
-    milnor_check,
     reflect_conjugate,
     relation_product,
     relation_residual,

@@ -3,16 +3,18 @@
 A cover element is a pair (A, phi) where phi is a continuous branch of
 log j(A, .) on the half-plane, j(A, z) = cz + d.  The half-plane is simply
 connected and j never vanishes on it, so such branches exist and any one is
-pinned down by its value at i; we store only phi(i).  Its imaginary part is
-the winding data a bare matrix forgets: shifting the branch adds 2*pi*i*k,
-and the elements over the identity matrix form the central kernel, with
-phi(i) ranging over 2*pi*i*Z.
+pinned down by its value at i.  Its imaginary part is the winding data a
+bare matrix forgets: shifting the branch adds 2*pi*i*k, and the elements
+over the identity matrix form the central kernel, with phi(i) ranging over
+2*pi*i*Z.
 
-The kernels run on pairs (A, n) with phi(i) = Log j(A, i) + 2*pi*i*n, a
-logarithm of j(A, i) by construction.  Over A1 A2 the branch value at i is
-phi1(A2 . i) + phi2(i), and j(A1, .) maps [i, A2.i] into one open
-half-plane, so n = n1 + n2 + c with c the Euler cocycle (Milnor 1958; Wood,
-Comment. Math. Helv. 46, 1971), rounded where it is computed:
+An element is stored as the pair (A, n) of its matrix and integer winding,
+with phi(i) = Log j(A, i) + 2*pi*i*n, a logarithm of j(A, i) by
+construction; the kernels run on the same pairs with A as an entry tuple.
+Over A1 A2 the branch value at i is phi1(A2 . i) + phi2(i), and j(A1, .)
+maps [i, A2.i] into one open half-plane, so n = n1 + n2 + c with c the
+Euler cocycle (Milnor 1958; Wood, Comment. Math. Helv. 46, 1971), rounded
+where it is computed:
 
     c = (Arg j(A1,i) + Arg[j(A1,A2.i)/j(A1,i)] + Arg j(A2,i) - Arg j(A1A2,i)) / 2pi
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,7 +46,6 @@ from .halfplane import (  # noqa: F401
 )
 
 TWO_PI = 2.0 * math.pi
-EXP_TOL = 1e-9      # |exp(phi(i)) - j(A,i)| allowed at construction, relative above |j| = 1
 CARRY_TOL = 0.25    # turns a cocycle carry may lie from its integer
 KERNEL_TOL = 1e-6   # Frobenius distance to I for kernel membership
 
@@ -64,15 +66,18 @@ def _j_i(m: tuple) -> complex:
 
 @dataclass(frozen=True)
 class CoverElement:
-    """Pair (A, phi(i)) with exp(phi(i)) = j(A, i)."""
+    """Pair (A, n): the matrix and the integer winding of phi(i) = Log j(A, i) + 2*pi*i*n."""
 
     A: Mat2
-    phi_i: complex
+    n: int
 
     def __post_init__(self):
-        j = j_cocycle(self.A, _I)
-        if abs(cmath.exp(self.phi_i) - j) > EXP_TOL * max(1.0, abs(j)):
-            raise ValueError(f"phi(i) = {self.phi_i} is not a logarithm of j(A, i) = {j}")
+        # TypeError for a winding that is not an integer
+        object.__setattr__(self, "n", operator.index(self.n))
+
+    @property
+    def phi_i(self) -> complex:
+        return _phi(_pair(self))
 
     def __mul__(self, other: "CoverElement") -> "CoverElement":
         return cover_mul(self, other)
@@ -128,23 +133,12 @@ def _phi(e: tuple) -> complex:
 
 
 def _pair(e: CoverElement) -> tuple:
-    # exp(phi(i)) = j(A, i) holds, so Im phi(i) - Arg j(A, i) is near 2 pi n
-    m = (e.A.a, e.A.b, e.A.c, e.A.d)
-    return m, round((e.phi_i.imag - _arg_i(m)) / TWO_PI)
-
-
-def _element(e: tuple) -> CoverElement:
-    # checked: a float Im phi(i) of some 1e7 and up misses EXP_TOL
-    return CoverElement(_mat(e[0]), _phi(e))
+    return (e.A.a, e.A.b, e.A.c, e.A.d), e.n
 
 
 def lift(A: Mat2, k: int = 0) -> CoverElement:
-    """The element over A on branch k; k = 0 takes the principal argument.
-
-    ValueError, as from cover_mul and cover_inv, for a winding of a few
-    million turns and up, which a float phi(i) cannot hold to EXP_TOL.
-    """
-    return _element(((A.a, A.b, A.c, A.d), k))
+    """The element over A on branch k; k = 0 takes the principal argument."""
+    return CoverElement(A, k)
 
 
 def phi_at(e: CoverElement, z: HPoint) -> complex:
@@ -153,22 +147,23 @@ def phi_at(e: CoverElement, z: HPoint) -> complex:
 
 
 def cover_mul(e1: CoverElement, e2: CoverElement) -> CoverElement:
-    return _element(_cmul(_pair(e1), _pair(e2)))
+    m, n = _cmul(_pair(e1), _pair(e2))
+    return CoverElement(_mat(m), n)
 
 
 def cover_inv(e: CoverElement) -> CoverElement:
-    return _element(_cinv(_pair(e)))
+    m, n = _cinv(_pair(e))
+    return CoverElement(_mat(m), n)
 
 
 def kernel_value(e: CoverElement, tol: float = KERNEL_TOL) -> KernelValue:
     """Integer k with phi(i) = 2*pi*i*k for an element over the identity.
 
-    Returns the nearest lattice point together with the distance to it, so
-    callers can judge how cleanly the element sits in the kernel.
+    k is the winding n, returned together with the distance |Log j(A, i)|
+    of phi(i) from 2*pi*i*k, so callers can judge how cleanly the element
+    sits in the kernel.
     """
     dist = frobenius_distance(e.A, Mat2.identity())
     if dist > tol:
         raise NotInKernel(f"matrix part is {dist:.3e} from I (tol {tol:.1e})")
-    k = round(e.phi_i.imag / TWO_PI)
-    residual = abs(e.phi_i - complex(0.0, TWO_PI * k))
-    return KernelValue(int(k), residual)
+    return KernelValue(e.n, abs(cmath.log(j_cocycle(e.A, _I))))

@@ -5,7 +5,7 @@ A real matrix ((a, b), (c, d)) with ad - bc = 1 acts on it by the Mobius map
 z -> (az + b)/(cz + d); the matrices A and -A induce the identical map.  This
 module is the scalar numerical core: the matrix and point types, the action
 and its j-cocycle j(A, z) = cz + d, trace classification, and the metric
-(closed-form distance and geodesics).
+(closed-form distance).
 
 The arithmetic itself runs on private kernels over plain tuples: _mul, _inv,
 _act and _dist take matrices as entry 4-tuples (a, b, c, d) and points as
@@ -277,36 +277,3 @@ def scaling(rho: float) -> Mat2:
     if not rho > 0.0:
         raise NonPositiveScale(f"scale ratio must be positive, got {rho!r}")
     return Mat2(rho, 0.0, 0.0, 1.0 / rho)
-
-
-def _along_geodesic(z: HPoint, w: HPoint, fractions) -> list[HPoint]:
-    # Send z to the disk center (w goes to v), take the points on the diameter
-    # [0, v] at the given fractions of the hyperbolic distance, and map back.
-    # Unlike the circle through z and w, this stays well conditioned when the
-    # geodesic is nearly vertical.
-    zc, wc = z.z, w.z
-    v = (wc - zc) / (wc - zc.conjugate())
-    r = abs(v)
-    d = math.atanh(r)
-    out = []
-    for s in fractions:
-        v_s = v * (math.tanh(s * d) / r)
-        back = (zc - zc.conjugate() * v_s) / (1.0 - v_s)
-        out.append(HPoint(back.real, back.imag))
-    return out
-
-
-def geodesic_points(z: HPoint, w: HPoint, n: int) -> list[HPoint]:
-    """n+1 points along the geodesic from z to w, equally spaced in distance."""
-    if n < 1:
-        raise ValueError("need at least one segment")
-    if z == w:
-        return [z] * (n + 1)
-    return _along_geodesic(z, w, (k / n for k in range(n + 1)))
-
-
-def geodesic_midpoint(z: HPoint, w: HPoint) -> HPoint:
-    """Point at equal distance from z and w on the geodesic between them."""
-    if z == w:
-        return z
-    return _along_geodesic(z, w, (0.5,))[0]

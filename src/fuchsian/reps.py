@@ -241,11 +241,6 @@ def toledo(
     return ToledoResult(int(value), raw, residual, kernel_matrix_residual, psl_only)
 
 
-def milnor_check(r: Representation) -> bool:
-    """|tau| <= 2g - 2; holds for every representation."""
-    return abs(toledo(r).value) <= 2 * r.genus - 2
-
-
 def goldman_fuchsian_test(r: Representation) -> bool:
     """Fuchsian exactly when the invariant is maximal: |tau| = 2g - 2."""
     return abs(toledo(r).value) == 2 * r.genus - 2

@@ -12,16 +12,17 @@ which reps.toledo replaced by the principal lift's carries; and the
 regular polygon and its side pairings built on HPoint and Mat2 objects
 (Mat2 @, rotation, mobius_act, hyp_distance), with three distances per
 interior angle, which polygons replaced by the tuple kernels.  The kernels
-must match them bit for bit.  Two flat checks are test-only references for
-euclidean: the displacement of a lattice commutator over sample points, and
-the length of a Euclidean polyline.
+must match them bit for bit.  The rest are test-only helpers: points along
+a geodesic (the distance oracle's polyline, and the side midpoints the
+pairing tests compare), and for euclidean the displacement of a lattice
+commutator over sample points and the length of a Euclidean polyline.
 """
 import cmath
 import math
 
 import numpy as np
 
-from fuchsian.cover import EXP_TOL, _cinv, _cmul, _phi
+from fuchsian.cover import _cinv, _cmul, _phi
 from fuchsian.halfplane import (
     HPoint,
     Mat2,
@@ -46,6 +47,7 @@ from fuchsian.reps import Representation, ToledoResult
 from fuchsian.solver import coords_from_rep
 
 FD_STEP = 1e-6
+EXP_TOL = 1e-9  # |exp(phi(i)) - j(A,i)| the float transport allows, relative above |j| = 1
 
 
 def _triangle_angle(at: HPoint, p: HPoint, q: HPoint) -> float:
@@ -203,6 +205,39 @@ def fd_svd_rank(r, rel_cutoff: float = 1e-6, noise_floor: float = 1e-8) -> int:
     sigma = np.linalg.svd(J, compute_uv=False)
     cutoff = max(rel_cutoff * float(sigma.max(initial=0.0)), noise_floor)
     return int(np.sum(sigma > cutoff))
+
+
+def _along_geodesic(z: HPoint, w: HPoint, fractions) -> list[HPoint]:
+    # Send z to the disk center (w goes to v), take the points on the diameter
+    # [0, v] at the given fractions of the hyperbolic distance, and map back.
+    # Unlike the circle through z and w, this stays well conditioned when the
+    # geodesic is nearly vertical.
+    zc, wc = z.z, w.z
+    v = (wc - zc) / (wc - zc.conjugate())
+    r = abs(v)
+    d = math.atanh(r)
+    out = []
+    for s in fractions:
+        v_s = v * (math.tanh(s * d) / r)
+        back = (zc - zc.conjugate() * v_s) / (1.0 - v_s)
+        out.append(HPoint(back.real, back.imag))
+    return out
+
+
+def geodesic_points(z: HPoint, w: HPoint, n: int) -> list[HPoint]:
+    """n+1 points along the geodesic from z to w, equally spaced in distance."""
+    if n < 1:
+        raise ValueError("need at least one segment")
+    if z == w:
+        return [z] * (n + 1)
+    return _along_geodesic(z, w, (k / n for k in range(n + 1)))
+
+
+def geodesic_midpoint(z: HPoint, w: HPoint) -> HPoint:
+    """Point at equal distance from z and w on the geodesic between them."""
+    if z == w:
+        return z
+    return _along_geodesic(z, w, (0.5,))[0]
 
 
 def path_length(points: "list | tuple") -> float:

@@ -18,7 +18,6 @@ from fuchsian.euclidean import LatticeGroup, reduce_point
 from fuchsian.halfplane import (
     HPoint,
     Mat2,
-    geodesic_points,
     hyp_distance,
     j_cocycle,
     mobius_act,
@@ -39,7 +38,7 @@ from fuchsian.solver import (
     jacobian_rank,
     solve,
 )
-from oracles import commutator_check, path_length
+from oracles import commutator_check, geodesic_points, path_length
 from test_cover import phi_increment_quadrature
 
 I = HPoint(0.0, 1.0)

@@ -62,14 +62,15 @@ class TestLift:
         e = lift(rotation(theta), 0)
         assert abs(e.phi_i - complex(0.0, theta)) < 1e-15
 
-    def test_invariant_guard(self):
-        with pytest.raises(ValueError):
-            CoverElement(Mat2.identity(), complex(0.5, 0.0))
+    def test_float_winding_is_refused(self):
+        for n in (3.0, 0.5):
+            with pytest.raises(TypeError):
+                CoverElement(Mat2.identity(), n)
 
-    def test_invariant_guard_on_imaginary_part(self):
-        # exp(i) is on the unit circle like j(I, i) = 1, but is not 1
-        with pytest.raises(ValueError):
-            CoverElement(Mat2.identity(), 1j)
+    def test_complex_winding_is_refused(self):
+        for n in (1j, complex(0.5, 0.0)):
+            with pytest.raises(TypeError):
+                CoverElement(Mat2.identity(), n)
 
     def test_overflowing_product_raises(self):
         # the matrix check runs inside cover_mul: inf/NaN never reaches phi
@@ -77,18 +78,26 @@ class TestLift:
         with pytest.raises(ValueError):
             cover_mul(e, e)
 
-    def test_branch_past_float_precision_is_refused(self):
-        # Im phi(i) near 2 pi 1e7 cannot hold a logarithm of j(A, i) to EXP_TOL
+    def test_winding_past_float_precision_is_held_exactly(self):
+        # a float Im phi(i) near 2 pi k cannot pin k down; n holds it exactly
         for k in (10**7, 10**8, 10**17):
-            with pytest.raises(ValueError, match="is not a logarithm"):
-                lift(rotation(0.5), k)
-        with pytest.raises(ValueError, match="is not a logarithm"):
-            cover_mul(lift(Mat2.identity(), 10**6), lift(Mat2.identity(), 9 * 10**6))
+            assert lift(rotation(0.5), k).n == k
+            assert kernel_value(lift(Mat2.identity(), k)).k == k
+        prod = cover_mul(lift(Mat2.identity(), 10**6), lift(Mat2.identity(), 9 * 10**6))
+        assert prod.n == 10**7
 
-    def test_branch_within_float_precision_round_trips(self):
+    def test_pair_round_trips(self):
         e = lift(rotation(0.5), 10**6)
-        assert CoverElement(e.A, e.phi_i) == e
+        assert CoverElement(e.A, e.n) == e
         assert kernel_value(cover_mul(e, cover_inv(e))).k == 0
+
+    def test_near_identity_winding_of_some_hundred_thousand_turns(self):
+        # within 1e-7 of I, at a winding well under a million turns where exp
+        # of the float phi(i) already misses j(A, i) by more than 1e-9
+        A = Mat2(0.9999999696358663, 8.907015334761319e-08, 4.819213676914873e-10, 1.0000000303641345)
+        kv = kernel_value(lift(A, -707310))
+        assert kv.k == -707310
+        assert abs(kv.residual - 3.04e-8) < 1e-10
 
 
 class TestPhiAt:
@@ -166,12 +175,11 @@ class TestGroupLaws:
         with pytest.raises(ValueError, match="Euler cocycle carry"):
             cover_inv(lift(HUGE))
 
-    def test_outside_element_keeps_its_winding(self):
-        # phi(i) off the principal branch and off log|j| within EXP_TOL
-        phi = lift(rotation(0.5), 0).phi_i + complex(1e-12, TWO_PI * 3)
-        e = CoverElement(rotation(0.5), phi)
-        assert abs(cover_mul(e, lift(Mat2.identity(), 0)).phi_i - phi) < 1e-11
-        assert abs(cover_inv(e).phi_i + phi) < 1e-11
+    def test_constructed_element_keeps_its_winding(self):
+        e = CoverElement(rotation(0.5), 3)
+        assert cover_mul(e, lift(Mat2.identity())).n == 3
+        assert cover_inv(e).n == -3
+        assert abs(e.phi_i - complex(0.0, 0.5 + TWO_PI * 3)) < 1e-14
 
     def test_point_past_the_action_guard(self):
         # B moves i to 1e26 i, past halfplane's DEN_TOL guard; the carry of

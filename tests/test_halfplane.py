@@ -14,15 +14,13 @@ from fuchsian.halfplane import (
     classify,
     classify_detailed,
     frobenius_distance,
-    geodesic_midpoint,
-    geodesic_points,
     hyp_distance,
     j_cocycle,
     mobius_act,
     rotation,
     scaling,
 )
-from oracles import path_length
+from oracles import geodesic_midpoint, geodesic_points, path_length
 
 I = HPoint(0.0, 1.0)
 

@@ -8,7 +8,6 @@ from fuchsian.halfplane import (
     Mat2,
     classify,
     frobenius_distance,
-    geodesic_midpoint,
     hyp_distance,
     mobius_act,
 )
@@ -26,6 +25,7 @@ from fuchsian.polygons import (
 from fuchsian.reps import relation_product, relation_residual, toledo
 from oracles import (
     bisection_radius,
+    geodesic_midpoint,
     object_side_pairings,
     object_vertices,
     per_vertex_interior_angles,

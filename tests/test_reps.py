@@ -15,7 +15,6 @@ from fuchsian.reps import (
     Representation,
     branch_independence_check,
     goldman_fuchsian_test,
-    milnor_check,
     reflect_conjugate,
     relation_product,
     relation_residual,
@@ -309,10 +308,10 @@ class TestPrincipalLift:
 
 class TestChecks:
     def test_milnor_trivial(self):
-        assert milnor_check(Representation.trivial(2))
+        r = Representation.trivial(2)
+        assert abs(toledo(r).value) <= 2 * r.genus - 2
 
     def test_milnor_octagon_with_equality(self, octagon_rep):
-        assert milnor_check(octagon_rep)
         assert abs(toledo(octagon_rep).value) == 2 * octagon_rep.genus - 2
 
     def test_goldman_octagon(self, octagon_rep):
@@ -330,7 +329,7 @@ class TestChecks:
             t = toledo(r)
             assert t.value % 2 == 0
             assert abs(t.raw - t.value) < 1e-3
-            assert milnor_check(r)
+            assert abs(t.value) <= 2 * r.genus - 2
 
 
 class TestReflectConjugate:

@@ -1,0 +1,41 @@
+"""The names bench/tracer.py wraps must exist in the package.
+
+The tracer patches each layer's functions at the names their callers look
+up (`owner.__dict__[attr]`), so deleting or renaming one breaks traced
+benchmark runs.  This runs its `instrument` once and undoes it, so such a
+deletion fails the default test run as well as `python -m pytest bench`.
+"""
+import importlib.util
+from pathlib import Path
+
+from fuchsian import cover, halfplane, reps
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_instrument_wraps_every_name_and_unpatches():
+    tracer_mod = _load_tracer()
+    originals = {
+        (mod, name): mod.__dict__[name]
+        for mod in (cover, reps)
+        for name in ("lift", "cover_mul", "cover_inv")
+    }
+    matmul = halfplane.Mat2.__dict__["__matmul__"]
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer_mod.instrument(tracer)
+        for (mod, name), fn in originals.items():
+            assert mod.__dict__[name] is not fn
+            assert mod.__dict__[name].__wrapped__ is fn
+    finally:
+        tracer.unpatch()
+    for (mod, name), fn in originals.items():
+        assert mod.__dict__[name] is fn
+    assert halfplane.Mat2.__dict__["__matmul__"] is matmul

@@ -42,9 +42,10 @@ MAX_TILE_DEPTH = 5
 # bound on the enumerated words 1 + sum_{d=1..depth} 4g (4g - 1)^(d - 1),
 # checked before enumerating; genus 2 at depth 5 meets it exactly
 MAX_TILES = 22_409
-# the polygon envelope is scanned up to genus 150; past it fuchsian-gen is
-# long refused (its relation misses REL_TOL from genus 47), the side pairings
-# miss PAIRING_TOL near genus 933, and solve allocates 2g coordinate rows
+# the polygon envelope is scanned up to genus 150, where fuchsian-gen's
+# relation residual is 2.7e-8 against REL_TOL = 1e-6; past it the pairings
+# miss PAIRING_TOL from genus 841 (the rounding of the vertices they are
+# certified against), and solve allocates 2g coordinate rows
 MAX_GENUS = 150
 # toledo reads one principal lift whatever the branches, so every trial
 # repeats one value; more trials only add run time

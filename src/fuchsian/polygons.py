@@ -5,7 +5,8 @@ For genus g >= 2 there is a regular 4g-gon whose interior angles sum to
 (primes are reversed traversals, read counterclockwise) produces a closed
 genus-g surface, and the gluing isometries generate a Fuchsian group.  The
 polygon is built in the unit-disk model, where the regular polygon around 0
-is rotationally symmetric, and transported to the half-plane around i.
+is rotationally symmetric, and transported to the half-plane around i.  The
+same symmetry gives each side pairing in closed form.
 
 The circumradius R has a closed form: the regular n-gon with interior angle
 alpha has cosh R = cot(alpha/2) cot(pi/n), which for n = 4g and
@@ -28,14 +29,12 @@ from dataclasses import dataclass
 from .halfplane import (  # noqa: F401
     HPoint,
     Mat2,
-    _act as _checked_act,
-    _check_mat,
+    _act,
     _check_point,
     _dist,
-    _inv,
     _mat,
-    _mul,
     _point,
+    _renorm,
     mobius_act,
 )
 from .reps import Representation
@@ -54,11 +53,6 @@ class PairingFailed(RuntimeError):
 
 def _from_disk(w: complex) -> complex:
     return 1j * (1.0 + w) / (1.0 - w)
-
-
-def _act(m: tuple, z: complex) -> complex:
-    a, b, c, d = m
-    return (a * z + b) / (c * z + d)
 
 
 @dataclass(frozen=True)
@@ -148,32 +142,13 @@ def polygon_area(p) -> float:
     return (len(vertices) - 2) * math.pi - sum(angles)
 
 
-def _move_to_i(x: float, y: float) -> tuple:
-    # z -> (z - x)/y as determinant-one entries
-    s = math.sqrt(y)
-    return _check_mat((1.0 / s, -x / s, 0.0, s))
-
-
-def _carrier(p1: tuple, p2: tuple, q1: tuple, q2: tuple) -> tuple:
-    """Entries of the orientation-preserving isometry with p1 -> q1, p2 -> q2.
-
-    Both segments are swept to a canonical position at i and the residual
-    rotation about i is read off in disk coordinates, where the rotation
-    matrix with parameter t acts as multiplication by exp(-2it).
-    """
-    Cp = _move_to_i(*p1)
-    Cq = _move_to_i(*q1)
-    wp = _act(Cp, complex(*p2))
-    wq = _act(Cq, complex(*q2))
-    alpha = cmath.phase((wq - 1j) / (wq + 1j)) - cmath.phase((wp - 1j) / (wp + 1j))
-    t = -0.5 * alpha
-    c, s = math.cos(t), math.sin(t)
-    rot = _check_mat((c, -s, s, c))  # rotation(t) as entries
-    return _mul(_mul(_inv(Cq), rot), Cp)
+def _frame_height(p: HyperbolicPolygon) -> float:
+    """Im of vertex 0, on the imaginary axis; side_pairings' frame is z -> z / it."""
+    return p.vertices[0].y
 
 
 def side_pairings(p: HyperbolicPolygon) -> Representation:
-    """Side-pairing translations of the labeled polygon, as a representation.
+    """Side-pairing translations of the labeled polygon, in the vertex frame.
 
     Sides run from vertex k to k+1 and are labeled a1 b1 a1' b1' a2 ...
     counterclockwise.  The generator for a_{j+1} carries the a' side onto the
@@ -186,30 +161,49 @@ def side_pairings(p: HyperbolicPolygon) -> Representation:
     Chasing the single vertex class around with these maps reproduces the
     word [A_1,B_1]...[A_g,B_g], which is why the commutator relation closes
     at +I when the interior angles sum to 2*pi.
+
+    Side k has its midpoint at disk angle theta_k = (2k+1)*pi/(4g) and at the
+    inradius h, cosh h = cot(pi/(4g)), from the centre (Beardon, GTM 91), so
+    the pairing of side s onto side t, reversed, is the closed form
+    rot(-theta_t/2) diag(e^h, e^-h) rot(theta_s/2 - pi/2).  It is emitted in
+    the vertex frame z -> z / Im(vertex 0), where the word's product after
+    each commutator is a rotation about i (in the centre frame its entries
+    grow like g^2 and the word misses REL_TOL from g = 42), and certified
+    against the vertices in that frame.
     """
-    vs = [(v.x, v.y) for v in p.vertices]
-    n = len(vs)
+    g = p.genus
+    n = 4 * g
+    y0 = _frame_height(p)
+    vs = [(v.x / y0, v.y / y0) for v in p.vertices]
+    cot = 1.0 / math.tan(math.pi / n)
+    e = cot + math.sqrt((cot - 1.0) * (cot + 1.0))  # e^h
+
+    def pairing(s: int, t: int) -> tuple:
+        phi, psi = (2 * s + 1) * math.pi / (2 * n), (2 * t + 1) * math.pi / (2 * n)
+        cf, sf, cp, sp = math.cos(phi), math.sin(phi), math.cos(psi), math.sin(psi)
+        a = cp * e * sf - sp * cf / e
+        b = cp * e * cf + sp * sf / e
+        c = -sp * e * sf - cp * cf / e
+        d = -sp * e * cf + cp * sf / e
+        return _renorm(a, b / y0, c * y0, d)
+
     gens_a: list[Mat2] = []
     gens_b: list[Mat2] = []
-    for j in range(p.genus):
+    for j in range(g):
         m = 4 * j
-        a_src = (vs[(m + 2) % n], vs[(m + 3) % n])
-        a_tgt = (vs[(m + 1) % n], vs[m % n])
-        b_src = (vs[(m + 1) % n], vs[(m + 2) % n])
-        b_tgt = (vs[(m + 4) % n], vs[(m + 3) % n])
-        A = _carrier(*a_src, *a_tgt)
-        B = _carrier(*b_src, *b_tgt)
-        _certify(A, *a_src, *a_tgt)
-        _certify(B, *b_src, *b_tgt)
+        A = pairing(m + 2, m)
+        B = pairing(m + 1, m + 3)
+        _certify(A, vs[m + 2], vs[m + 3], vs[m + 1], vs[m])
+        _certify(B, vs[m + 1], vs[m + 2], vs[(m + 4) % n], vs[m + 3])
         gens_a.append(_mat(A))
         gens_b.append(_mat(B))
-    return Representation(p.genus, tuple(gens_a), tuple(gens_b))
+    return Representation(g, tuple(gens_a), tuple(gens_b))
 
 
 def _certify(m: tuple, p1: tuple, p2: tuple, q1: tuple, q2: tuple) -> None:
     err = max(
-        _dist(_checked_act(m, *p1), q1),
-        _dist(_checked_act(m, *p2), q2),
+        _dist(_act(m, *p1), q1),
+        _dist(_act(m, *p2), q2),
     )
     if err > PAIRING_TOL:
         raise PairingFailed(

@@ -9,8 +9,11 @@ from __future__ import annotations
 import math
 
 from .halfplane import HPoint, Mat2, mobius_act
-from .polygons import HyperbolicPolygon
+from .polygons import HyperbolicPolygon, _frame_height
 from .reps import Representation
+
+VIEWPORT = (-4.0, 4.0, 4.0)  # xmin, xmax, ymax in the polygon's frame
+SCALE = 100.0                # SVG units per half-plane unit
 
 
 def _canonical_key(M: Mat2) -> tuple:
@@ -46,7 +49,7 @@ def orbit_matrices(rep: Representation, depth: int) -> list[tuple[int, Mat2]]:
     return out
 
 
-def _svg_path(vertices: list[HPoint], tx, ty, scale: float) -> str:
+def _svg_path(vertices: list[HPoint], tx, ty) -> str:
     cmds = [f"M {tx(vertices[0].x):.2f} {ty(vertices[0].y):.2f}"]
     n = len(vertices)
     for k in range(n):
@@ -64,28 +67,25 @@ def _svg_path(vertices: list[HPoint], tx, ty, scale: float) -> str:
         # increasing angle is counterclockwise in the plane, which reads as
         # sweep 0 once the y axis is flipped into SVG coordinates
         sweep = 0 if t2 > t1 else 1
-        cmds.append(f"A {r * scale:.2f} {r * scale:.2f} 0 0 {sweep} {tx(z2.x):.2f} {ty(z2.y):.2f}")
+        cmds.append(f"A {r * SCALE:.2f} {r * SCALE:.2f} 0 0 {sweep} {tx(z2.x):.2f} {ty(z2.y):.2f}")
     cmds.append("Z")
     return " ".join(cmds)
 
 
-def render_tiling(
-    polygon: HyperbolicPolygon,
-    rep: Representation,
-    depth: int,
-    viewport: tuple[float, float, float] = (-4.0, 4.0, 4.0),
-    scale: float = 100.0,
-) -> str:
+def render_tiling(polygon: HyperbolicPolygon, rep: Representation, depth: int) -> str:
     """SVG text for the orbit of the polygon under words of length <= depth."""
-    xmin, xmax, ymax = viewport
-    width = (xmax - xmin) * scale
-    height = ymax * scale
+    y0 = _frame_height(polygon)  # rep is in side_pairings' frame; map it back
+    back = [Mat2(M.a, M.b * y0, M.c / y0, M.d) for M in (*rep.gens_a, *rep.gens_b)]
+    rep = Representation(rep.genus, tuple(back[: rep.genus]), tuple(back[rep.genus :]))
+    xmin, xmax, ymax = VIEWPORT
+    width = (xmax - xmin) * SCALE
+    height = ymax * SCALE
 
     def tx(x: float) -> float:
-        return (x - xmin) * scale
+        return (x - xmin) * SCALE
 
     def ty(y: float) -> float:
-        return (ymax - y) * scale
+        return (ymax - y) * SCALE
 
     margin = 0.5 * (xmax - xmin)
     paths = []
@@ -98,7 +98,7 @@ def render_tiling(
             continue
         hue = (47 * level) % 360
         paths.append(
-            f'<path d="{_svg_path(verts, tx, ty, scale)}" '
+            f'<path d="{_svg_path(verts, tx, ty)}" '
             f'fill="hsl({hue},55%,{78 - 6 * (level % 4)}%)" '
             f'stroke="#333" stroke-width="1" clip-path="url(#vp)"/>'
         )

@@ -5,14 +5,18 @@ independent route: the polygon radius by bisection on the interior angle,
 the polygon area by quadrature, the relation Jacobian by central finite
 differences (with its rank from the singular values), the Toledo
 invariant by transporting a float winding through the cover products, and
-the hyperbolic distance by the length of a fine polyline.  Two are former
+the hyperbolic distance by the length of a fine polyline.  Three are former
 implementations kept for comparison: the Toledo invariant with every lift
 on its own branch, a cover-kernel loop over the word reps.toledo winds,
-which reps.toledo replaced by the principal lift's carries; and the
-regular polygon and its side pairings built on HPoint and Mat2 objects
-(Mat2 @, rotation, mobius_act, hyp_distance), with three distances per
-interior angle, which polygons replaced by the tuple kernels.  The kernels
-must match them bit for bit.  The rest are test-only helpers: points along
+which reps.toledo replaced by the principal lift's carries; the regular
+polygon built on HPoint objects, with three distances per interior angle,
+which polygons replaced by the tuple kernels and must match bit for bit;
+and its side pairings found by a two-point carrier on Mat2 objects (Mat2 @,
+rotation, mobius_act, hyp_distance), in the polygon's centre frame, which
+polygons replaced by a closed form in the vertex frame.  The closed form
+matches the carrier up to sign after the frame map, and the carrier's
+centre-frame words stay the input of the kernel pins and the float
+transport oracle.  The rest are test-only helpers: points along
 a geodesic (the distance oracle's polyline, and the side midpoints the
 pairing tests compare), and for euclidean the displacement of a lattice
 commutator over sample points and the length of a Euclidean polyline.
@@ -41,7 +45,6 @@ from fuchsian.polygons import (
     PairingFailed,
     _from_disk,
     _vertices_at_radius,
-    side_pairings,
 )
 from fuchsian.reps import Representation, ToledoResult
 from fuchsian.solver import coords_from_rep
@@ -108,7 +111,12 @@ def _object_certify(M: Mat2, p1: HPoint, p2: HPoint, q1: HPoint, q2: HPoint) -> 
 
 
 def object_side_pairings(p: HyperbolicPolygon) -> Representation:
-    """polygons.side_pairings on Mat2 and HPoint objects, the same labels and order."""
+    """The side pairings of polygons.side_pairings, in the centre frame.
+
+    Each pairing is the two-point carrier of its source side onto its
+    target side: both sides are swept to i and the rotation between them is
+    read off in the disk.  Same labels and order as polygons.side_pairings.
+    """
     vs = p.vertices
     n = len(vs)
     gens_a: list[Mat2] = []
@@ -155,9 +163,9 @@ def bisection_radius(g: int) -> float:
 
 
 def bisection_rep(g: int):
-    """Side pairings of the regular 4g-gon built at the bisection radius."""
+    """Carrier side pairings of the regular 4g-gon built at the bisection radius."""
     vertices = _vertices_at_radius(bisection_radius(g), 4 * g)
-    return side_pairings(HyperbolicPolygon(tuple(vertices), g))
+    return object_side_pairings(HyperbolicPolygon(tuple(vertices), g))
 
 
 def _batched_matrices(vals: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ independence, and the dimension counts at the resulting point.
 import argparse
 import math
 
+from fuchsian.cli import MAX_GENUS
 from fuchsian.halfplane import HPoint, classify, hyp_distance
 from fuchsian.polygons import interior_angles, polygon_area, regular_polygon, side_pairings
 from fuchsian.reps import (
@@ -24,6 +25,8 @@ def main():
     ap.add_argument("--genus", type=int, default=2)
     args = ap.parse_args()
     g = args.genus
+    if not 2 <= g <= MAX_GENUS:
+        ap.error(f"--genus {g} is outside 2..{MAX_GENUS}")
 
     poly = regular_polygon(g)
     angles = interior_angles(poly.vertices)

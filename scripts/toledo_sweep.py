@@ -10,6 +10,7 @@ import argparse
 import collections
 import time
 
+from fuchsian.cli import MAX_GENUS
 from fuchsian.reps import jacobian_rank, reflect_conjugate, toledo
 from fuchsian.solver import DidNotConverge, solve
 
@@ -21,6 +22,12 @@ def main():
     ap.add_argument("--seed-start", type=int, default=0)
     ap.add_argument("--ranks", action="store_true", help="also tabulate Jacobian ranks")
     args = ap.parse_args()
+    if not 1 <= args.genus <= MAX_GENUS:
+        ap.error(f"--genus {args.genus} is outside 1..{MAX_GENUS}")
+    if args.count < 0:
+        ap.error(f"--count {args.count} is negative")
+    if args.seed_start < 0:
+        ap.error(f"--seed-start {args.seed_start} is negative")
 
     t0 = time.perf_counter()
     values = collections.Counter()

@@ -30,7 +30,7 @@ from math import pi
 
 # lift, cover_mul and cover_inv stay importable here: bench/tracer.py wraps
 # them under these names.
-from .cover import NonIntegral, _cocycle, _phi, cover_inv, cover_mul, lift  # noqa: F401
+from .cover import NonIntegral, _cinv, _cmul, _cocycle, _phi, cover_inv, cover_mul, lift  # noqa: F401
 from .halfplane import Mat2, _frobenius, _inv, _mat, _mul
 
 _EYE = (1.0, 0.0, 0.0, 1.0)
@@ -216,18 +216,7 @@ def toledo(
     if branches is not None and len(branches) != 2 * r.genus:
         raise ValueError(f"need {2 * r.genus} branch integers, got {len(branches)}")
 
-    m = _word(r)[1][-1]
-    phi = _phi((m, r._winding))
-
-    dist_plus, dist_minus = _distance_to_pm_eye(m)
-    psl_only = dist_minus < dist_plus
-    kernel_matrix_residual = min(dist_plus, dist_minus)
-
-    raw = phi.imag / pi
-    if psl_only:
-        value = round(raw)            # lattice over -I is the odd integers
-    else:
-        value = 2 * round(raw / 2.0)  # lattice over +I is the even integers
+    value, raw, kernel_matrix_residual, psl_only = _lattice_point((_word(r)[1][-1], r._winding))
     residual = abs(raw - value)
     if residual > NONINTEGRAL_TOL:
         raise NonIntegral(
@@ -238,7 +227,16 @@ def toledo(
             f"Toledo invariant residual {residual:.3e} is unusually large",
             stacklevel=2,
         )
-    return ToledoResult(int(value), raw, residual, kernel_matrix_residual, psl_only)
+    return ToledoResult(value, raw, residual, kernel_matrix_residual, psl_only)
+
+
+def _lattice_point(e: tuple) -> tuple:
+    """(value, raw, distance to +-I, psl_only) of a cover element e = (m, n) over +-I."""
+    dist_plus, dist_minus = _distance_to_pm_eye(e[0])
+    psl_only = dist_minus < dist_plus
+    raw = _phi(e).imag / pi
+    value = round(raw) if psl_only else 2 * round(raw / 2.0)  # odd over -I, even over +I
+    return int(value), raw, min(dist_plus, dist_minus), psl_only
 
 
 def goldman_fuchsian_test(r: Representation) -> bool:
@@ -265,18 +263,21 @@ def branch_independence_check(
 ) -> bool:
     """Ask for the invariant under random branch choices in [-span, span].
 
-    True when every trial reproduces the principal-branch integer exactly.
-    This holds by construction in the integer kernel: lifts on branches k
-    and l give each commutator the winding k + l - k - l = 0, so toledo
-    reads the principal lift whatever the branches and no trial can differ.
-    The check stays for the `branch_independent` line of `fuchsian toledo
-    --branches N`; the test that lifts each generator on its own branch is
-    per_branch_toledo in tests/oracles.py.
+    Each trial lifts A_1, B_1, ..., A_g, B_g on branches of its own, winds
+    the relation word through the cover kernels and rounds as toledo does.
+    True when every trial gives toledo's integer: a commutator of lifts on
+    branches k and l winds k + l - k - l = 0, so a trial that differs shows
+    a fault in the kernels, not in the data.
     """
     base = toledo(r).value
     rng = random.Random(seed)
     for _ in range(trials):
-        ks = [rng.randint(-span, span) for _ in range(2 * r.genus)]
-        if toledo(r, branches=ks).value != base:
+        total = (_EYE, 0)
+        for A, B in zip(r.gens_a, r.gens_b):
+            a = ((A.a, A.b, A.c, A.d), rng.randint(-span, span))
+            b = ((B.a, B.b, B.c, B.d), rng.randint(-span, span))
+            for letter in (a, b, _cinv(a), _cinv(b)):
+                total = _cmul(total, letter)
+        if _lattice_point(total)[0] != base:
             return False
     return True

@@ -11,13 +11,23 @@ drawn bit for bit in Python integers.  The relation map is treated as
 valued in R^3 through the entries (P00 - 1, P01, P10) of the commutator
 product; the remaining entry is dependent through det P = 1.
 
-The solver is damped Gauss-Newton on Python floats.  One pass over the
-relation word builds its prefix and suffix products, which give the gap and
-the exact Jacobian by the product rule in O(g) 2x2 products.  With 3
-equations and 6g unknowns the damped step is taken through the 3x3 system
-(J J^T + lambda I) y = gap, delta = -J^T y, solved in closed form.  Iterates
-are unvalidated candidates, so their products are unchecked; the result is
-validated where rep_from_coords builds the representation.
+The solver is damped Gauss-Newton on Python floats.  Each point it
+evaluates, the start and every trial step, costs one pass over the relation
+word L_0 ... L_{4g-1}: its letters and prefixes Q_k = L_0 ... L_{k-1}.
+refine keeps the accepted trial's pass, and the Jacobian adds only the
+suffixes S_k = L_k ... L_{4g-1}.  A coordinate moves its generator M along
+sl(2,R): d_th M = J M, d_u M = M E and d_s M = M (H + 2u E) for
+J = ((0, -1), (1, 0)), E = ((0, 1), (0, 0)) and H = diag(1, -1), and
+d(M^-1) = -M^-1 dM M^-1.  So with M at letter k and M^-1 at k + 2, the
+tangent map of the relation (Weil, Ann. Math. 80, 1964; Goldman, Adv.
+Math. 54, 1984) has the columns
+    d_th P = Q_k J S_k - Q_{k+3} J S_{k+3},
+    d_u P = Q_{k+1} E S_{k+1} - Q_{k+2} E S_{k+2},
+    d_s P = (the same with H) + 2u d_u P.
+With 3 equations and 6g unknowns the damped step is taken through the 3x3
+system (J J^T + lambda I) y = gap, delta = -J^T y, solved in closed form.
+Iterates are unvalidated candidates, so their products are unchecked; the
+result is validated where rep_from_coords builds the representation.
 """
 from __future__ import annotations
 
@@ -61,90 +71,76 @@ def _mul(m: tuple, n: tuple) -> tuple:
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def _adj(m: tuple) -> tuple:
-    a, b, c, d = m
-    return (d, -b, -c, a)
+def _evaluate(rows: list) -> tuple:
+    """(letters, prefixes) of the relation word A_1 B_1 A_1^-1 B_1^-1 ...
 
-
-def _word(mats: list) -> list:
-    """The relation word A_1 B_1 A_1^-1 B_1^-1 ... as 4g letters."""
-    letters = []
-    for A, B in zip(mats[0::2], mats[1::2]):
-        letters += (A, B, _adj(A), _adj(B))
-    return letters
-
-
-def _product(rows: list) -> tuple:
-    P = _EYE
-    for L in _word([_matrix(*row) for row in rows]):
-        P = _mul(P, L)
-    return P
+    prefixes[-1] is the relation product.  ArithmeticError when a
+    generator's e^s overflows or underflows.
+    """
+    letters, pre = [], [_EYE]
+    for ra, rb in zip(rows[0::2], rows[1::2]):
+        a, b = _matrix(*ra), _matrix(*rb)
+        for L in (a, b, (a[3], -a[1], -a[2], a[0]), (b[3], -b[1], -b[2], b[0])):
+            letters.append(L)
+            pre.append(_mul(pre[-1], L))
+    return letters, pre
 
 
 def relation_gap(rows: list) -> tuple:
     """The three independent entries of P - I: (P00 - 1, P01, P10)."""
-    P = _product(rows)
+    P = _evaluate(rows)[1][-1]
     return (P[0] - 1.0, P[1], P[2])
 
 
-def residual(rows: list) -> float:
+def residual(rows: list, word: "list | None" = None) -> float:
     """Squared Frobenius norm of the full commutator product minus I.
 
     inf when a generator's e^s overflows or underflows; NaN or inf when the
-    product does.
+    product does.  word, when given, is a list that receives the pass's
+    (letters, prefixes) for relation_jacobian, unless a generator overflows.
     """
     try:
-        a, b, c, d = _product(rows)
+        evaluated = _evaluate(rows)
     except ArithmeticError:
         return math.inf
+    if word is not None:
+        word[:] = evaluated
+    a, b, c, d = evaluated[1][-1]
     a, d = a - 1.0, d - 1.0
     return a * a + b * b + c * c + d * d  # ** would raise OverflowError
 
 
-def _sandwich(Q: tuple, X: tuple, S: tuple) -> tuple:
-    """Entries (00, 01, 10) of Q X S."""
-    q0, q1, q2, q3 = Q
-    x0, x1, x2, x3 = X
-    t0, t1 = q0 * x0 + q1 * x2, q0 * x1 + q1 * x3
-    t2, t3 = q2 * x0 + q3 * x2, q2 * x1 + q3 * x3
-    s0, s1, s2, s3 = S
-    return (t0 * s0 + t1 * s2, t0 * s1 + t1 * s3, t2 * s0 + t3 * s2)
-
-
-def relation_jacobian(rows: list) -> tuple:
+def relation_jacobian(rows: list, word: "list | None" = None) -> tuple:
     """(gap, cols) at rows: relation_gap and its 6g exact Jacobian columns.
 
     Column 3i + j is the (00, 01, 10) derivative along coordinate j of row i,
-    from one pass over the word.  With prefix Q_k = L_1...L_{k-1} and suffix
-    S_k = L_{k+1}...L_{4g}, a generator M at letter k with its inverse at
-    letter k' moves the product by Q_k dM S_k + Q_{k'} adj(dM) S_{k'}: the
-    adjugate is linear and is the inverse on det = 1.  dM comes from the
-    factorization in closed form.
+    in the closed form of the module docstring.  word is residual's kept
+    (letters, prefixes) at rows; without it the pass is made here.
     """
-    word = _word([_matrix(*row) for row in rows])
-    pre = [_EYE]
-    for L in word:
-        pre.append(_mul(pre[-1], L))
+    letters, pre = word or _evaluate(rows)
     suf = [_EYE]
-    for L in reversed(word):
+    for L in reversed(letters):
         suf.append(_mul(L, suf[-1]))
-    suf.reverse()  # suf[k] = L_k ... L_last, so S_k is suf[k + 1]
+    suf.reverse()  # suf[k] = S_k, suf[4g] = I
     P = pre[-1]
     gap = (P[0] - 1.0, P[1], P[2])
 
     cols = []
-    for i, (th, s, u) in enumerate(rows):
+    for i, row in enumerate(rows):
         k = 4 * (i // 2) + i % 2  # A_j sits at letter 4j, B_j at 4j + 1
-        e = math.exp(s)
-        c, sn = math.cos(th), math.sin(th)
-        ce, se = c * e, sn * e
-        d_th = (-se, -se * u - c / e, ce, ce * u - sn / e)
-        d_s = (ce, ce * u + sn / e, se, se * u - c / e)
-        d_u = (0.0, ce, 0.0, se)
-        for dM in (d_th, d_s, d_u):
-            x = _sandwich(pre[k], dM, suf[k + 1])
-            y = _sandwich(pre[k + 2], _adj(dM), suf[k + 3])
-            cols.append((x[0] + y[0], x[1] + y[1], x[2] + y[2]))
+        (q0, q1, q2, q3), (s0, s1, s2, s3) = pre[k], suf[k]
+        (p0, p1, p2, p3), (t0, t1, t2, t3) = pre[k + 3], suf[k + 3]
+        d_th = ((q1 * s0 - q0 * s2) - (p1 * t0 - p0 * t2),
+                (q1 * s1 - q0 * s3) - (p1 * t1 - p0 * t3),
+                (q3 * s0 - q2 * s2) - (p3 * t0 - p2 * t2))
+        (q0, q1, q2, q3), (s0, s1, s2, s3) = pre[k + 1], suf[k + 1]
+        (p0, p1, p2, p3), (t0, t1, t2, t3) = pre[k + 2], suf[k + 2]
+        d_u = (q0 * s2 - p0 * t2, q0 * s3 - p0 * t3, q2 * s2 - p2 * t2)
+        u2 = 2.0 * row[2]
+        d_s = ((q0 * s0 - q1 * s2) - (p0 * t0 - p1 * t2) + u2 * d_u[0],
+               (q0 * s1 - q1 * s3) - (p0 * t1 - p1 * t3) + u2 * d_u[1],
+               (q2 * s0 - q3 * s2) - (p2 * t0 - p3 * t2) + u2 * d_u[2])
+        cols += (d_th, d_s, d_u)
     return gap, cols
 
 
@@ -308,7 +304,8 @@ def refine(
     lam = 1e-3
     nonfinite = accepted_steps = rejected_steps = iterations = 0
     stop = "max_iter"
-    f = residual(rows)
+    word = []  # the current point's letters and prefixes, kept from its pass
+    f = residual(rows, word)
     for it in range(max_iter):
         if verbose:
             print(f"iter {it} residual {f:.6e} damping {lam:.1e}", file=sys.stderr)
@@ -318,7 +315,7 @@ def refine(
             stop = "stalled"
             break
         iterations += 1
-        gap, cols = relation_jacobian(rows)
+        gap, cols = relation_jacobian(rows, word)
         gram = _gram(cols)
         accepted = False
         for _ in range(60):
@@ -328,11 +325,12 @@ def refine(
                     (th + delta[3 * i], s + delta[3 * i + 1], u + delta[3 * i + 2])
                     for i, (th, s, u) in enumerate(rows)
                 ]
-                f_cand = residual(cand)
+                trial = []
+                f_cand = residual(cand, trial)
                 if not math.isfinite(f_cand):
                     nonfinite += 1
                 elif f_cand < f:
-                    rows, f = cand, f_cand
+                    rows, f, word = cand, f_cand, trial
                     lam = max(lam / 10.0, 1e-14)
                     accepted = True
                     break

@@ -5,10 +5,12 @@ independent route: the polygon radius by bisection on the interior angle,
 the polygon area by quadrature, the relation Jacobian by central finite
 differences (with its rank from the singular values), the Toledo
 invariant by transporting a float winding through the cover products, and
-the hyperbolic distance by the length of a fine polyline.  Three are former
-implementations kept for comparison: the Toledo invariant with every lift
-on its own branch, a cover-kernel loop over the word reps.toledo winds,
-which reps.toledo replaced by the principal lift's carries; the regular
+the hyperbolic distance by the length of a fine polyline.  Four are former
+implementations kept for comparison: the relation Jacobian by the product
+rule, six 2x2 sandwiches per generator, which solver replaced by closed-form
+columns through sl(2,R) read off the kept word; the Toledo invariant with
+every lift on its own branch, a cover-kernel loop over the word reps.toledo
+winds, which reps.toledo replaced by the principal lift's carries; the regular
 polygon built on HPoint objects, with three distances per interior angle,
 which polygons replaced by the tuple kernels and must match bit for bit;
 and its side pairings found by a two-point carrier on Mat2 objects (Mat2 @,
@@ -26,6 +28,7 @@ import math
 
 import numpy as np
 
+from fuchsian import solver
 from fuchsian.cover import _cinv, _cmul, _phi
 from fuchsian.halfplane import (
     HPoint,
@@ -199,6 +202,56 @@ def fd_relation_jacobian(rows, step: float = FD_STEP) -> np.ndarray:
     batch = np.concatenate([flat + eye, flat - eye]).reshape(2 * n, *vals.shape)
     gaps = _batched_gap(batch)
     return ((gaps[:n] - gaps[n:]) / (2.0 * step)).T
+
+
+def _sandwich(Q: tuple, X: tuple, S: tuple) -> tuple:
+    """Entries (00, 01, 10) of Q X S."""
+    q0, q1, q2, q3 = Q
+    x0, x1, x2, x3 = X
+    t0, t1 = q0 * x0 + q1 * x2, q0 * x1 + q1 * x3
+    t2, t3 = q2 * x0 + q3 * x2, q2 * x1 + q3 * x3
+    s0, s1, s2, s3 = S
+    return (t0 * s0 + t1 * s2, t0 * s1 + t1 * s3, t2 * s0 + t3 * s2)
+
+
+def product_rule_jacobian(rows) -> np.ndarray:
+    """The relation Jacobian by the product rule at 2g coordinate rows, shape (3, 6g).
+
+    With prefix Q_k = L_1...L_{k-1} and suffix S_k = L_{k+1}...L_{4g}, a
+    generator M at letter k with its inverse at letter k' moves the product
+    by Q_k dM S_k + Q_{k'} adj(dM) S_{k'}: the adjugate is linear and is the
+    inverse on det = 1.  dM is the derivative of the factorization, formed
+    entry by entry.
+    """
+    def adj(m):
+        return (m[3], -m[1], -m[2], m[0])
+
+    mats = [solver._matrix(*row) for row in rows]
+    word = []
+    for A, B in zip(mats[0::2], mats[1::2]):
+        word += (A, B, adj(A), adj(B))
+    eye = (1.0, 0.0, 0.0, 1.0)
+    pre = [eye]
+    for L in word:
+        pre.append(solver._mul(pre[-1], L))
+    suf = [eye]
+    for L in reversed(word):
+        suf.append(solver._mul(L, suf[-1]))
+    suf.reverse()  # suf[k] = L_k ... L_last, so S_k is suf[k + 1]
+    cols = []
+    for i, (th, s, u) in enumerate(rows):
+        k = 4 * (i // 2) + i % 2
+        e = math.exp(s)
+        c, sn = math.cos(th), math.sin(th)
+        ce, se = c * e, sn * e
+        d_th = (-se, -se * u - c / e, ce, ce * u - sn / e)
+        d_s = (ce, ce * u + sn / e, se, se * u - c / e)
+        d_u = (0.0, ce, 0.0, se)
+        for dM in (d_th, d_s, d_u):
+            x = _sandwich(pre[k], dM, suf[k + 1])
+            y = _sandwich(pre[k + 2], adj(dM), suf[k + 3])
+            cols.append((x[0] + y[0], x[1] + y[1], x[2] + y[2]))
+    return np.array(cols).T
 
 
 def fd_svd_rank(r, rel_cutoff: float = 1e-6, noise_floor: float = 1e-8) -> int:

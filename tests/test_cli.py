@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import fuchsian
-from fuchsian import cli
+from fuchsian import cli, reps
 from fuchsian.cli import MAX_BRANCH_TRIALS, MAX_GENUS, MAX_TILES, run
 from fuchsian.halfplane import rotation, scaling, Mat2
 from fuchsian.repfile import format_rep, parse_rep, read_rep_file, write_rep_file
@@ -60,6 +60,26 @@ def test_toledo_command(tmp_path, capsys):
     assert abs(float(out["raw"]) - int(out["value"])) < 1e-6
     assert out["psl_only"] == "false"
     assert out["branch_independent"] == "true"
+
+
+def test_toledo_branch_disagreement_exits_2(tmp_path, capsys, monkeypatch):
+    # one inverse lift off by one winding in the third of five trials
+    path = tmp_path / "rep.txt"
+    run(["fuchsian-gen", "--genus", "2", "--out", str(path)])
+    capsys.readouterr()
+    exact, calls = reps._cinv, []
+
+    def one_wrong_inverse(e):
+        m, n = exact(e)
+        calls.append(1)
+        return m, n + 1 if len(calls) == 10 else n
+
+    monkeypatch.setattr(reps, "_cinv", one_wrong_inverse)
+    assert run(["toledo", "--in", str(path), "--branches", "5", "--seed", "3"]) == 2
+    out = kv(capsys.readouterr().out)
+    assert out["value"] in ("2", "-2")
+    assert out["branch_independent"] == "false"
+    assert len(calls) == 12  # the check stops at the trial that differs
 
 
 def test_toledo_on_trivial_rep(tmp_path, capsys):

@@ -8,9 +8,10 @@ bare matrix forgets: shifting the branch adds 2*pi*i*k, and the elements
 over the identity matrix form the central kernel, with phi(i) ranging over
 2*pi*i*Z.
 
-An element is stored as the pair (A, n) of its matrix and integer winding,
-with phi(i) = Log j(A, i) + 2*pi*i*n, a logarithm of j(A, i) by
-construction; the kernels run on the same pairs with A as an entry tuple.
+An element is the pair (A, n) of its matrix and integer winding, with
+phi(i) = Log j(A, i) + 2*pi*i*n, a logarithm of j(A, i) by construction;
+CoverElement is that pair as a named tuple, and the kernels take it as it
+is, as they take a Mat2 for an entry tuple.
 Over A1 A2 the branch value at i is phi1(A2 . i) + phi2(i), and j(A1, .)
 maps [i, A2.i] into one open half-plane, so n = n1 + n2 + c with c the
 Euler cocycle (Milnor 1958; Wood, Comment. Math. Helv. 46, 1971), rounded
@@ -26,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 # mobius_act is not called here; it stays importable because bench/tracer.py
@@ -64,20 +65,21 @@ def _j_i(m: tuple) -> complex:
     return complex(m[3], m[2])  # j(A, i) = d + ci
 
 
-@dataclass(frozen=True)
-class CoverElement:
+class CoverElement(namedtuple("CoverElement", "A n")):
     """Pair (A, n): the matrix and the integer winding of phi(i) = Log j(A, i) + 2*pi*i*n."""
 
-    A: Mat2
-    n: int
+    __slots__ = ()
+    __add__ = __rmul__ = None  # * is the group law, not tuple repetition
 
-    def __post_init__(self):
+    def __new__(cls, A: Mat2, n: int) -> "CoverElement":
+        if not isinstance(A, Mat2):
+            raise TypeError(f"matrix part must be a Mat2, got {type(A).__name__}")
         # TypeError for a winding that is not an integer
-        object.__setattr__(self, "n", operator.index(self.n))
+        return tuple.__new__(cls, (A, operator.index(n)))
 
     @property
     def phi_i(self) -> complex:
-        return _phi(_pair(self))
+        return _phi(self)
 
     def __mul__(self, other: "CoverElement") -> "CoverElement":
         return cover_mul(self, other)
@@ -92,7 +94,7 @@ class KernelValue(NamedTuple):
 
 
 # Kernels on (entries, n) pairs, entries an (a, b, c, d) tuple that passed
-# halfplane's _check_mat and n the integer winding.
+# halfplane's _check_mat and n the integer winding: a CoverElement is one.
 
 def _arg_i(m: tuple) -> float:
     return math.atan2(m[2], m[3])  # Arg j(A, i), the phase of d + ci
@@ -132,10 +134,6 @@ def _phi(e: tuple) -> complex:
     return cmath.log(_j_i(e[0])) + complex(0.0, TWO_PI * e[1])
 
 
-def _pair(e: CoverElement) -> tuple:
-    return (e.A.a, e.A.b, e.A.c, e.A.d), e.n
-
-
 def lift(A: Mat2, k: int = 0) -> CoverElement:
     """The element over A on branch k; k = 0 takes the principal argument."""
     return CoverElement(A, k)
@@ -147,12 +145,12 @@ def phi_at(e: CoverElement, z: HPoint) -> complex:
 
 
 def cover_mul(e1: CoverElement, e2: CoverElement) -> CoverElement:
-    m, n = _cmul(_pair(e1), _pair(e2))
+    m, n = _cmul(e1, e2)
     return CoverElement(_mat(m), n)
 
 
 def cover_inv(e: CoverElement) -> CoverElement:
-    m, n = _cinv(_pair(e))
+    m, n = _cinv(e)
     return CoverElement(_mat(m), n)
 
 

@@ -7,12 +7,12 @@ module is the scalar numerical core: the matrix and point types, the action
 and its j-cocycle j(A, z) = cz + d, trace classification, and the metric
 (closed-form distance).
 
-The arithmetic itself runs on private kernels over plain tuples: _mul, _inv,
-_act and _dist take matrices as entry 4-tuples (a, b, c, d) and points as
-pairs (x, y).  Every matrix and point a kernel returns passes the same check
-helper the constructors call (_check_mat, _check_point), so the public
-operations wrap a kernel and build their result without checking it a
-second time.
+A matrix is its entry 4-tuple (a, b, c, d) and a point its pair (x, y):
+Mat2 and HPoint are named tuples whose constructors run the checks
+_check_mat and _check_point, so the private kernels _mul, _inv, _act and
+_dist take them as they are, and take plain tuples alike.  Every matrix and
+point a kernel returns has passed the same check, so the public operations
+wrap a kernel and build their result with _mat or _point, which skip it.
 
 All types are immutable values and all functions are pure, so everything in
 here can be shared or sent across threads freely.
@@ -20,8 +20,10 @@ here can be shared or sent across threads freely.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from math import isfinite
 
 DET_TOL = 1e-9    # |det - 1| allowed at construction
@@ -108,17 +110,14 @@ def _act(m: tuple, x: float, y: float) -> tuple:
     return _check_point((w.real, y / den2))
 
 
-@dataclass(frozen=True)
-class Mat2:
-    """Real 2x2 matrix of determinant one (within DET_TOL)."""
+class Mat2(namedtuple("Mat2", "a b c d")):
+    """Real 2x2 matrix of determinant one (within DET_TOL), as its entries (a, b, c, d)."""
 
-    a: float
-    b: float
-    c: float
-    d: float
+    __slots__ = ()
+    __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
-    def __post_init__(self):
-        _check_mat((self.a, self.b, self.c, self.d))
+    def __new__(cls, a: float, b: float, c: float, d: float) -> "Mat2":
+        return _mat(_check_mat((a, b, c, d)))
 
     @classmethod
     def identity(cls) -> "Mat2":
@@ -134,20 +133,17 @@ class Mat2:
         return self.a + self.d
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        return _mat(_mul((self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d)))
+        return _mat(_mul(self, other))
 
     def inv(self) -> "Mat2":
-        return _mat(_inv((self.a, self.b, self.c, self.d)))
+        return _mat(_inv(self))
 
     def __neg__(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
+        return _mat((-self.a, -self.b, -self.c, -self.d))  # det bit for bit self's
 
 
-def _mat(m: tuple) -> Mat2:
-    # Unchecked constructor for a tuple that has just passed _check_mat.
-    A = object.__new__(Mat2)
-    A.__dict__.update(a=m[0], b=m[1], c=m[2], d=m[3])
-    return A
+# Unchecked constructor for an entry tuple that has just passed _check_mat.
+_mat = partial(tuple.__new__, Mat2)
 
 
 def _frobenius(m: tuple, n: tuple) -> float:
@@ -163,18 +159,17 @@ def _frobenius(m: tuple, n: tuple) -> float:
 
 
 def frobenius_distance(A: Mat2, B: Mat2) -> float:
-    return _frobenius((A.a, A.b, A.c, A.d), (B.a, B.b, B.c, B.d))
+    return _frobenius(A, B)
 
 
-@dataclass(frozen=True)
-class HPoint:
-    """Point x + iy of the upper half-plane, y > 0."""
+class HPoint(namedtuple("HPoint", "x y")):
+    """Point x + iy of the upper half-plane, y > 0, as its pair (x, y)."""
 
-    x: float
-    y: float
+    __slots__ = ()
+    __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
-    def __post_init__(self):
-        _check_point((self.x, self.y))
+    def __new__(cls, x: float, y: float) -> "HPoint":
+        return _point(_check_point((x, y)))
 
     @classmethod
     def from_complex(cls, z: complex) -> "HPoint":
@@ -185,11 +180,8 @@ class HPoint:
         return complex(self.x, self.y)
 
 
-def _point(p: tuple) -> HPoint:
-    # Unchecked constructor for a pair that has just passed _check_point.
-    z = object.__new__(HPoint)
-    z.__dict__.update(x=p[0], y=p[1])
-    return z
+# Unchecked constructor for a pair that has just passed _check_point.
+_point = partial(tuple.__new__, HPoint)
 
 
 class IsometryClass(Enum):
@@ -243,7 +235,7 @@ def j_cocycle(A: Mat2, z: HPoint) -> complex:
 
 def mobius_act(A: Mat2, z: HPoint) -> HPoint:
     """Apply z -> (az + b)/(cz + d); see _act for the imaginary part."""
-    return _point(_act((A.a, A.b, A.c, A.d), z.x, z.y))
+    return _point(_act(A, z.x, z.y))
 
 
 def _dist(z: tuple, w: tuple) -> float:
@@ -263,7 +255,7 @@ def _dist(z: tuple, w: tuple) -> float:
 
 def hyp_distance(z: HPoint, w: HPoint) -> float:
     """Hyperbolic distance between two points; see _dist."""
-    return _dist((z.x, z.y), (w.x, w.y))
+    return _dist(z, w)
 
 
 def rotation(theta: float) -> Mat2:

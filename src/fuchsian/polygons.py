@@ -13,10 +13,9 @@ alpha has cosh R = cot(alpha/2) cot(pi/n), which for n = 4g and
 alpha = 2*pi/n is cot^2(pi/(4g)) (Beardon, The Geometry of Discrete Groups,
 GTM 91).  The vertices sit at disk radius tanh(R/2).
 
-The construction runs on halfplane's checked tuple kernels: vertices are
-(x, y) pairs and isometries entry 4-tuples (a, b, c, d), each checked as the
-HPoint and Mat2 constructors check them, and every output HPoint and Mat2 is
-built once from its checked tuple.
+The construction runs on halfplane's checked tuple kernels, which take the
+HPoint vertices as the (x, y) pairs they are; each generator is formed as an
+entry 4-tuple, checked once by _renorm and wrapped as a Mat2 unchecked.
 """
 from __future__ import annotations
 
@@ -30,10 +29,8 @@ from .halfplane import (  # noqa: F401
     HPoint,
     Mat2,
     _act,
-    _check_point,
     _dist,
     _mat,
-    _point,
     _renorm,
     mobius_act,
 )
@@ -91,7 +88,7 @@ def interior_angles(vertices) -> list[float]:
     computed once (_dist is symmetric bit for bit).  ValueError when two
     consecutive vertices coincide, which leaves a side of length zero.
     """
-    pts = [(v.x, v.y) for v in vertices]
+    pts = tuple(vertices)
     n = len(pts)
     cosh_side, sinh_side = [], []
     for k in range(n):
@@ -112,7 +109,7 @@ def _vertices_at_radius(r: float, n: int) -> list[HPoint]:
     vertices = []
     for k in range(n):
         z = _from_disk(r * cmath.exp(2j * math.pi * k / n))
-        vertices.append(_point(_check_point((z.real, z.imag))))
+        vertices.append(HPoint(z.real, z.imag))
     return vertices
 
 

@@ -75,6 +75,10 @@ class Representation:
                 f"need {self.genus} generators per family, got "
                 f"{len(self.gens_a)} and {len(self.gens_b)}"
             )
+        for M in (*self.gens_a, *self.gens_b):
+            if not isinstance(M, Mat2):
+                # a plain tuple would reach the kernels unchecked
+                raise TypeError(f"generators must be Mat2, got {type(M).__name__}")
 
     @classmethod
     def trivial(cls, genus: int) -> "Representation":
@@ -82,28 +86,23 @@ class Representation:
         return cls(genus, (eye,) * genus, (eye,) * genus)
 
     @cached_property
-    def _relation(self) -> "tuple | ValueError":
-        """The relation word as (letters, partial products), or the error
-        that stopped its renormalization."""
+    def _relation(self) -> tuple:
+        """The relation word as (letters, partial products); ValueError when a
+        partial product cannot be renormalized, and then nothing is kept."""
         # Letters A_1, B_1, A_1^-1, B_1^-1, ... multiplied left to right:
         # P_0 = I and P_k = P_{k-1} L_k, so the last partial product is the word.
         letters, partials = [], [_EYE]
-        try:
-            for A, B in zip(self.gens_a, self.gens_b):
-                a = (A.a, A.b, A.c, A.d)
-                b = (B.a, B.b, B.c, B.d)
-                for L in (a, b, _inv(a), _inv(b)):
-                    letters.append(L)
-                    partials.append(_mul(partials[-1], L))
-        except ValueError as exc:
-            return exc.with_traceback(None)
+        for A, B in zip(self.gens_a, self.gens_b):
+            for L in (A, B, _inv(A), _inv(B)):
+                letters.append(L)
+                partials.append(_mul(partials[-1], L))
         return letters, partials
 
     @cached_property
     def _winding(self) -> int:
         """Integer winding n of the relation word lifted on principal branches;
         a NonIntegral carry is raised, not kept."""
-        letters, partials = _word(self)
+        letters, partials = self._relation
         n = 0
         for k, L in enumerate(letters):
             if k % 4 >= 2:
@@ -111,15 +110,6 @@ class Representation:
                 n -= _cocycle(letters[k - 2], L, _EYE)
             n += _cocycle(partials[k], L, partials[k + 1])
         return n
-
-
-def _word(r: Representation) -> tuple:
-    """(letters, partial products) of the relation word; ValueError when a
-    partial product cannot be renormalized."""
-    word = r._relation
-    if isinstance(word, ValueError):
-        raise ValueError(*word.args)
-    return word
 
 
 def _distance_to_pm_eye(m: tuple) -> tuple[float, float]:
@@ -133,7 +123,7 @@ def relation_product(r: Representation) -> Mat2:
     product of the word cannot be renormalized onto det = 1, the case where
     relation_residual returns inf.
     """
-    return _mat(_word(r)[1][-1])
+    return _mat(r._relation[1][-1])
 
 
 def relation_residual(r: Representation) -> float:
@@ -143,10 +133,11 @@ def relation_residual(r: Representation) -> float:
     det = 1 (its entries overflow, or rounding drives its det to zero or
     below): the relation cannot be verified for such generators.
     """
-    word = r._relation
-    if isinstance(word, ValueError):
+    try:
+        partials = r._relation[1]
+    except ValueError:
         return math.inf
-    return min(_distance_to_pm_eye(word[1][-1]))
+    return min(_distance_to_pm_eye(partials[-1]))
 
 
 def _require_relation(r: Representation, rel_tol: float = REL_TOL) -> None:
@@ -167,7 +158,7 @@ def jacobian_rank(r: Representation) -> int:
     point makes the variety dimension 6g - 3 there, and 6g - 6 after dividing
     out conjugation.
     """
-    gens = [(M.a, M.b, M.c, M.d) for M in (*r.gens_a, *r.gens_b)]
+    gens = (*r.gens_a, *r.gens_b)
     # traceless part (x, y, z) = (x, y; z, -x); halving first keeps a - d finite
     parts = [(0.5 * a - 0.5 * d, b, c) for a, b, c, d in gens]
     sizes = [math.hypot(*m) for m in gens]
@@ -216,7 +207,7 @@ def toledo(
     if branches is not None and len(branches) != 2 * r.genus:
         raise ValueError(f"need {2 * r.genus} branch integers, got {len(branches)}")
 
-    value, raw, kernel_matrix_residual, psl_only = _lattice_point((_word(r)[1][-1], r._winding))
+    value, raw, kernel_matrix_residual, psl_only = _lattice_point((r._relation[1][-1], r._winding))
     residual = abs(raw - value)
     if residual > NONINTEGRAL_TOL:
         raise NonIntegral(
@@ -274,8 +265,8 @@ def branch_independence_check(
     for _ in range(trials):
         total = (_EYE, 0)
         for A, B in zip(r.gens_a, r.gens_b):
-            a = ((A.a, A.b, A.c, A.d), rng.randint(-span, span))
-            b = ((B.a, B.b, B.c, B.d), rng.randint(-span, span))
+            a = (A, rng.randint(-span, span))
+            b = (B, rng.randint(-span, span))
             for letter in (a, b, _cinv(a), _cinv(b)):
                 total = _cmul(total, letter)
         if _lattice_point(total)[0] != base:

@@ -17,11 +17,11 @@ SCALE = 100.0                # SVG units per half-plane unit
 
 
 def _canonical_key(M: Mat2) -> tuple:
-    entries = (M.a, M.b, M.c, M.d)
-    for e in entries:
+    entries = M
+    for e in M:
         if abs(e) > 1e-9:
             if e < 0:
-                entries = (-M.a, -M.b, -M.c, -M.d)
+                entries = -M
             break
     return tuple(round(e, 6) for e in entries)
 

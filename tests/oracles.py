@@ -5,7 +5,9 @@ independent route: the polygon radius by bisection on the interior angle,
 the polygon area by quadrature, the relation Jacobian by central finite
 differences (with its rank from the singular values), the Toledo
 invariant by transporting a float winding through the cover products, and
-the hyperbolic distance by the length of a fine polyline.  Four are former
+the hyperbolic distance by the length of a fine polyline, and the Toledo
+invariant a second time as the area of the developed relation polygon,
+which shares no code with the cover.  Four are former
 implementations kept for comparison: the relation Jacobian by the product
 rule, six 2x2 sandwiches per generator, which solver replaced by closed-form
 columns through sl(2,R) read off the kept word; the Toledo invariant with
@@ -399,8 +401,7 @@ def _phi_at(m: tuple, phi: complex, x: float, y: float) -> complex:
 
 
 def _transport_lift(M, k: int) -> tuple:
-    m = (M.a, M.b, M.c, M.d)
-    return m, cmath.log(_j(M.c, M.d, 0.0, 1.0)) + complex(0.0, 2.0 * math.pi * k)
+    return M, cmath.log(_j(M.c, M.d, 0.0, 1.0)) + complex(0.0, 2.0 * math.pi * k)
 
 
 def _transport_mul(e1: tuple, e2: tuple) -> tuple:
@@ -449,8 +450,8 @@ def per_branch_toledo(r, branches=None) -> ToledoResult:
         branches = (0,) * (2 * r.genus)
     total = ((1.0, 0.0, 0.0, 1.0), 0)
     for i, (A, B) in enumerate(zip(r.gens_a, r.gens_b)):
-        ta = ((A.a, A.b, A.c, A.d), branches[2 * i])
-        tb = ((B.a, B.b, B.c, B.d), branches[2 * i + 1])
+        ta = (A, branches[2 * i])
+        tb = (B, branches[2 * i + 1])
         for letter in (ta, tb, _cinv(ta), _cinv(tb)):
             total = _cmul(total, letter)
     m, phi = total[0], _phi(total)
@@ -460,6 +461,31 @@ def per_branch_toledo(r, branches=None) -> ToledoResult:
     raw = phi.imag / math.pi
     value = round(raw) if psl_only else 2 * round(raw / 2.0)
     return ToledoResult(int(value), raw, abs(raw - value), min(dist_plus, dist_minus), psl_only)
+
+
+def _triangle_area(w2: complex, w3: complex) -> float:
+    # signed area of the geodesic triangle (0, w2, w3) in the unit disk,
+    # curvature -1; positive when 0, w2, w3 run counterclockwise
+    return -2.0 * cmath.phase(1.0 - w2.conjugate() * w3)
+
+
+def area_toledo(r, p: complex = 1j) -> float:
+    """The Toledo invariant as the area of the developed relation polygon / 2pi.
+
+    Its vertices are P_k.p for the partial products P_0 = I, ..., P_4g of
+    the relation word that reps keeps (r._relation), and the fan from
+    P_0.p = p gives 2 pi tau = sum_{k=1}^{4g-2} area(p, P_k.p, P_{k+1}.p)
+    (Goldman 1988; Toledo 1989).  Each triangle is taken to the disk by
+    w = (z - p)/(z - conj p), which sends p to 0, and measured in closed
+    form.  No cover element, branch or Euler cocycle is involved: the only
+    shared input is the word's partial products, acted on p in complex
+    arithmetic.
+    """
+    ws = []
+    for a, b, c, d in r._relation[1][1:-1]:
+        z = (a * p + b) / (c * p + d)
+        ws.append((z - p) / (z - p.conjugate()))
+    return sum(_triangle_area(w2, w3) for w2, w3 in zip(ws, ws[1:])) / (2.0 * math.pi)
 
 
 def _default_sample(span: float = 10.0, per_axis: int = 5) -> list:

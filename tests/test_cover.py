@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -10,6 +12,9 @@ from conftest import hpoints, iwasawa, mat_close, sl2_matrices
 from fuchsian.cover import (
     CoverElement,
     NotInKernel,
+    _cinv,
+    _cmul,
+    _phi,
     cover_inv,
     cover_mul,
     kernel_value,
@@ -98,6 +103,52 @@ class TestLift:
         kv = kernel_value(lift(A, -707310))
         assert kv.k == -707310
         assert abs(kv.residual - 3.04e-8) < 1e-10
+
+
+class TestValueFormat:
+    """A CoverElement is the (A, n) pair the cover kernels run on."""
+
+    E = CoverElement(Mat2(2.0, 0.5, 0.0, 0.5), 3)
+
+    def test_repr_and_hash(self):
+        # pinned: the repr names the fields and the hash is the field tuple's
+        assert repr(self.E) == "CoverElement(A=Mat2(a=2.0, b=0.5, c=0.0, d=0.5), n=3)"
+        assert hash(self.E) == hash(((2.0, 0.5, 0.0, 0.5), 3))
+        assert self.E == ((2.0, 0.5, 0.0, 0.5), 3)
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        for twin in (pickle.loads(pickle.dumps(self.E)), copy.deepcopy(self.E)):
+            assert twin == self.E and type(twin) is CoverElement and type(twin.A) is Mat2
+
+    def test_assignment_raises(self):
+        with pytest.raises(AttributeError):
+            self.E.n = 4
+        with pytest.raises(AttributeError):
+            self.E.extra = 4
+
+    def test_plain_tuple_matrix_is_refused(self):
+        # it would otherwise reach the kernels without the Mat2 check
+        with pytest.raises(TypeError, match="Mat2"):
+            CoverElement((2.0, 0.0, 0.0, 0.5), 0)
+        with pytest.raises(TypeError, match="Mat2"):
+            lift((2.0, 0.0, 0.0, 0.5))
+
+    def test_star_is_the_group_law_only(self):
+        assert self.E * self.E == cover_mul(self.E, self.E)
+        for op in (lambda: 2 * self.E, lambda: self.E + self.E):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_kernels_read_an_element_as_its_pair(self):
+        # the bits the kernels return for CoverElements are those they return
+        # for the same (entry tuple, n) pairs built from the fields
+        e1, e2 = lift(iwasawa(0.3, 0.5, -0.7), 2), lift(iwasawa(-1.2, -0.4, 0.9), -5)
+        t1 = ((e1.A.a, e1.A.b, e1.A.c, e1.A.d), e1.n)
+        t2 = ((e2.A.a, e2.A.b, e2.A.c, e2.A.d), e2.n)
+        assert _cmul(e1, e2) == _cmul(t1, t2) and _cinv(e1) == _cinv(t1)
+        assert _phi(e1) == _phi(t1) == e1.phi_i
+        assert cover_mul(e1, e2) == _cmul(t1, t2) and cover_inv(e1) == _cinv(t1)
+        assert type(cover_mul(e1, e2).A) is Mat2 and type(cover_inv(e1).A) is Mat2
 
 
 class TestPhiAt:

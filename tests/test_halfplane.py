@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +17,11 @@ from fuchsian.halfplane import (
     classify_detailed,
     frobenius_distance,
     hyp_distance,
+    _act,
+    _dist,
+    _frobenius,
+    _inv,
+    _mul,
     j_cocycle,
     mobius_act,
     rotation,
@@ -208,3 +215,57 @@ class TestConstructors:
             HPoint(0.0, 0.0)
         with pytest.raises(ValueError):
             HPoint(0.0, -1.0)
+
+
+class TestValueFormat:
+    """Mat2 and HPoint are the checked entry tuples the kernels run on."""
+
+    M = Mat2(2.0, 0.5, 0.0, 0.5)
+    Z = HPoint(0.25, 1.5)
+
+    def test_repr_and_hash(self):
+        # pinned: the repr names the fields and the hash is the field tuple's
+        assert repr(self.M) == "Mat2(a=2.0, b=0.5, c=0.0, d=0.5)"
+        assert repr(self.Z) == "HPoint(x=0.25, y=1.5)"
+        assert hash(self.M) == hash((2.0, 0.5, 0.0, 0.5))
+        assert hash(self.Z) == hash((0.25, 1.5))
+
+    def test_equal_to_the_plain_tuple(self):
+        assert self.M == (2.0, 0.5, 0.0, 0.5) and self.Z == (0.25, 1.5)
+        assert Mat2(a=2.0, b=0.5, c=0.0, d=0.5) == self.M
+
+    @pytest.mark.parametrize("value", [M, Z])
+    def test_pickle_and_deepcopy_round_trip(self, value):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert twin == value and type(twin) is type(value)
+
+    @pytest.mark.parametrize("value, field", [(M, "a"), (M, "d"), (Z, "y")])
+    def test_assignment_raises(self, value, field):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1.0)
+        with pytest.raises(AttributeError):
+            value.extra = 1.0
+
+    @pytest.mark.parametrize("value", [M, Z])
+    def test_no_tuple_arithmetic(self, value):
+        for op in (lambda: value + value, lambda: 2 * value, lambda: value * 2):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_kernels_read_a_value_as_its_entries(self):
+        # the bits a kernel returns for a Mat2 or HPoint are those it returns
+        # for the tuple of its fields, and a kernel result is a plain tuple
+        A, B, z, w = iwasawa(0.3, 0.5, -0.7), iwasawa(-1.2, -0.4, 0.9), self.Z, HPoint(-2.0, 0.125)
+        ta, tb = (A.a, A.b, A.c, A.d), (B.a, B.b, B.c, B.d)
+        tz, tw = (z.x, z.y), (w.x, w.y)
+        assert _mul(A, B) == _mul(ta, tb) and type(_mul(A, B)) is tuple
+        assert _inv(A) == _inv(ta) and type(_inv(A)) is tuple
+        assert _act(A, *z) == _act(ta, *tz)
+        assert _frobenius(A, B) == _frobenius(ta, tb)
+        assert _dist(z, w) == _dist(tz, tw)
+        assert A @ B == _mul(ta, tb) and type(A @ B) is Mat2
+        assert A.inv() == _inv(ta) and type(A.inv()) is Mat2
+        assert mobius_act(A, z) == _act(ta, *tz) and type(mobius_act(A, z)) is HPoint
+        assert hyp_distance(z, w) == _dist(tz, tw)
+        assert frobenius_distance(A, B) == _frobenius(ta, tb)
+        assert -A == tuple(-e for e in ta) and type(-A) is Mat2

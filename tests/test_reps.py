@@ -48,6 +48,14 @@ class TestRelationResidual:
         with pytest.raises(ValueError):
             Representation(2, (Mat2.identity(),), (Mat2.identity(),))
 
+    def test_plain_tuple_generator_is_refused(self):
+        # it would otherwise reach the relation kernels without the Mat2 check
+        eye = Mat2.identity()
+        with pytest.raises(TypeError, match="Mat2"):
+            Representation(1, ((2.0, 0.0, 0.0, 0.5),), (eye,))
+        with pytest.raises(TypeError, match="Mat2"):
+            Representation(1, (eye,), ((1.0, 0.0, 0.0, 1.0),))
+
     def test_unrenormalizable_word_is_inf(self):
         # rounding drives a partial product's det negative (-128) at 7 handles
         r = Representation(7, (scaling(20.0),) * 7, (rotation(0.7),) * 7)
@@ -300,6 +308,17 @@ class TestPrincipalLift:
             assert relation_residual(r) == math.inf
             with pytest.raises(ValueError, match=r"cannot renormalize entries with det -128\.0"):
                 relation_product(r)
+
+    def test_unrenormalizable_word_raises_on_every_call(self):
+        # the failing word is not kept: each call multiplies it again and
+        # raises the renormalization's own ValueError, also past an infinite
+        # relation tolerance
+        r = Representation(7, (scaling(20.0),) * 7, (rotation(0.7),) * 7)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"cannot renormalize entries with det -128\.0") as exc:
+                toledo(r, rel_tol=math.inf)
+            assert type(exc.value) is ValueError
+            assert "_relation" not in vars(r)
 
     def test_branch_count_checked_after_the_lift_is_kept(self, octagon_rep):
         toledo(octagon_rep)

@@ -8,6 +8,7 @@ deletion fails the default test run as well as `python -m pytest bench`.
 import importlib.util
 from pathlib import Path
 
+from conftest import iwasawa
 from fuchsian import cover, halfplane, reps
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -28,14 +29,23 @@ def test_instrument_wraps_every_name_and_unpatches():
         for name in ("lift", "cover_mul", "cover_inv")
     }
     matmul = halfplane.Mat2.__dict__["__matmul__"]
+    A, B = iwasawa(0.3, 0.5, -0.7), iwasawa(-1.2, -0.4, 0.9)
+    untraced = A @ B
     tracer = tracer_mod.Tracer()
     try:
         tracer_mod.instrument(tracer)
+        patched = list(tracer._patches)
         for (mod, name), fn in originals.items():
             assert mod.__dict__[name] is not fn
             assert mod.__dict__[name].__wrapped__ is fn
+        traced = A @ B
+        assert tracer.summary()["halfplane.matmul"]["calls"] == 1
+        assert repr(traced) == repr(untraced) and type(traced) is halfplane.Mat2
     finally:
         tracer.unpatch()
+    assert patched and not tracer._patches
+    for owner, attr, original in patched:
+        assert owner.__dict__[attr] is original, (owner, attr)
     for (mod, name), fn in originals.items():
         assert mod.__dict__[name] is fn
     assert halfplane.Mat2.__dict__["__matmul__"] is matmul

@@ -48,7 +48,7 @@ MAX_TILES = 22_409
 # certified against), and solve allocates 2g coordinate rows
 MAX_GENUS = 150
 # each trial winds the 4g letters through the cover kernels on branches of
-# its own: 1000 trials at genus 150 took 4.0-5.0 s on a 2-core x86 host
+# its own: 1000 trials at genus 150 took 1.2-1.9 s on a 2-core x86 host
 MAX_BRANCH_TRIALS = 1000
 
 

@@ -12,15 +12,23 @@ An element is the pair (A, n) of its matrix and integer winding, with
 phi(i) = Log j(A, i) + 2*pi*i*n, a logarithm of j(A, i) by construction;
 CoverElement is that pair as a named tuple, and the kernels take it as it
 is, as they take a Mat2 for an entry tuple.
-Over A1 A2 the branch value at i is phi1(A2 . i) + phi2(i), and j(A1, .)
-maps [i, A2.i] into one open half-plane, so n = n1 + n2 + c with c the
-Euler cocycle (Milnor 1958; Wood, Comment. Math. Helv. 46, 1971), rounded
-where it is computed:
+Over A1 A2 the branch value at i is phi1(A2 . i) + phi2(i), so
+n = n1 + n2 + c with c the Euler cocycle (Milnor 1958; Wood, Comment. Math.
+Helv. 46, 1971), read off signs alone (Kubota, J. Math. Soc. Japan 19, 1967;
+Barge-Ghys, Math. Ann. 294, 1992).  Let h(A) count Arg j(A, i) = Arg(d + ci)
+in quarter turns: the sign of c, or for c = 0, 0 when d > 0 and +-2 by the
+sign bit of c when d < 0, as math.atan2 reads it.  j(A1, .) maps the
+half-plane into the open half-plane of the sign of c1, or is the constant
+d1, so the continued argument of j(A1, A2.i) has the code h(A1).  An
+argument lies within a quarter turn of h pi/2 when h is odd and on it when
+h is even, so 4c is h(A1) + h(A2) - h(A1A2) up to an integer smaller in
+size than the count of odd codes and of its parity, at most 1:
 
-    c = (Arg j(A1,i) + Arg[j(A1,A2.i)/j(A1,i)] + Arg j(A2,i) - Arg j(A1A2,i)) / 2pi
+    c = floor((h(A1) + h(A2) - h(A1A2) + 2) / 4)
 
-It lies in {-1, 0, 1}, so no rounding error accumulates along a word; a c
-farther than CARRY_TOL turn from its integer raises NonIntegral, a ValueError.
+No error accumulates along a word and no carry breaks down.  The signs are
+those of each product as computed: where its c underflows to zero from
+factors with nonzero c, the carry can come out a turn too large.
 """
 from __future__ import annotations
 
@@ -33,12 +41,9 @@ from typing import NamedTuple
 # mobius_act is not called here; it stays importable because bench/tracer.py
 # wraps it under this name.
 from .halfplane import (  # noqa: F401
-    DegenerateDenominator,
     HPoint,
     Mat2,
-    _act,
     _inv,
-    _j,
     _mat,
     _mul,
     frobenius_distance,
@@ -47,7 +52,6 @@ from .halfplane import (  # noqa: F401
 )
 
 TWO_PI = 2.0 * math.pi
-CARRY_TOL = 0.25    # turns a cocycle carry may lie from its integer
 KERNEL_TOL = 1e-6   # Frobenius distance to I for kernel membership
 
 _I = HPoint(0.0, 1.0)
@@ -55,10 +59,6 @@ _I = HPoint(0.0, 1.0)
 
 class NotInKernel(ValueError):
     """kernel_value() was given an element whose matrix part is not near I."""
-
-
-class NonIntegral(ArithmeticError, ValueError):
-    """A quantity that must be an integer is too far from one; numerical breakdown."""
 
 
 def _j_i(m: tuple) -> complex:
@@ -96,25 +96,17 @@ class KernelValue(NamedTuple):
 # Kernels on (entries, n) pairs, entries an (a, b, c, d) tuple that passed
 # halfplane's _check_mat and n the integer winding: a CoverElement is one.
 
-def _arg_i(m: tuple) -> float:
-    return math.atan2(m[2], m[3])  # Arg j(A, i), the phase of d + ci
+def _h(m: tuple) -> int:
+    """h(A): Arg j(A, i) = Arg(d + ci) in quarter turns, a signed zero read as by math.atan2."""
+    c = m[2]
+    if c:
+        return 1 if c > 0.0 else -1
+    return 0 if m[3] > 0.0 else int(math.copysign(2.0, c))
 
 
 def _cocycle(m1: tuple, m2: tuple, m: tuple) -> int:
-    """The Euler cocycle c of m1 m2 = m; NonIntegral past CARRY_TOL turn."""
-    try:
-        x, y = _act(m2, 0.0, 1.0)
-        j1 = _j(m1[2], m1[3], x, y)
-    except DegenerateDenominator:
-        # m2 moves i past the action's guard (Im m2.i > 1e24); the cocycle
-        # identity j(m1, m2.i) = j(m1 m2, i) / j(m2, i) needs no point
-        j1 = _j_i(m) / _j_i(m2)
-    increment = cmath.phase(j1 / _j_i(m1))
-    t = (_arg_i(m1) + increment + _arg_i(m2) - _arg_i(m)) / TWO_PI
-    c = round(t)
-    if abs(t - c) > CARRY_TOL:
-        raise NonIntegral(f"Euler cocycle carry {t!r} is {abs(t - c):.3f} turn from an integer")
-    return c
+    """The Euler cocycle c of m1 m2 = m, from the quarter turns of the three."""
+    return (_h(m1) + _h(m2) - _h(m) + 2) // 4
 
 
 def _cmul(e1: tuple, e2: tuple) -> tuple:

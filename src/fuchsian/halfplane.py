@@ -47,10 +47,10 @@ def _check_mat(m: tuple) -> tuple:
     det = a * d - b * c
     err = abs(det - 1.0)
     if err > DET_TOL:
-        # ad - bc itself carries ~scale^2 * eps of rounding, so the check is
-        # widened for large entries where the absolute tolerance is unmeasurable
-        scale = max(abs(a), abs(b), abs(c), abs(d))
-        tol = max(DET_TOL, 64.0 * 2.22e-16 * scale * scale)
+        # ad - bc itself carries ~eps * max(|ad|, |bc|) of rounding, so the
+        # check is widened where the products make the absolute tolerance
+        # unmeasurable, and by no more than they do
+        tol = max(DET_TOL, 64.0 * 2.22e-16 * max(abs(a * d), abs(b * c)))
         if err > tol:
             raise ValueError(f"determinant {det!r} is not 1 within {tol}")
     return m

@@ -30,7 +30,7 @@ from math import pi
 
 # lift, cover_mul and cover_inv stay importable here: bench/tracer.py wraps
 # them under these names.
-from .cover import NonIntegral, _cinv, _cmul, _cocycle, _phi, cover_inv, cover_mul, lift  # noqa: F401
+from .cover import _cinv, _cmul, _cocycle, _phi, cover_inv, cover_mul, lift  # noqa: F401
 from .halfplane import Mat2, _frobenius, _inv, _mat, _mul
 
 _EYE = (1.0, 0.0, 0.0, 1.0)
@@ -47,6 +47,10 @@ CENTRALIZER_TOL = 1e-9
 
 class RelationViolated(ValueError):
     """The generators do not satisfy the surface-group relation."""
+
+
+class NonIntegral(ArithmeticError, ValueError):
+    """The raw invariant is too far from its lattice; numerical breakdown."""
 
 
 @dataclass(frozen=True)
@@ -101,7 +105,7 @@ class Representation:
     @cached_property
     def _winding(self) -> int:
         """Integer winding n of the relation word lifted on principal branches;
-        a NonIntegral carry is raised, not kept."""
+        its carries are integers by construction, so it raises no NonIntegral."""
         letters, partials = self._relation
         n = 0
         for k, L in enumerate(letters):
@@ -200,8 +204,8 @@ def toledo(
     check reads, so kernel_matrix_residual equals relation_residual(r).
     The word is multiplied once per Representation instance and its carries
     summed once; the checks below run on every call.
-    NonIntegral when a cover carry is farther than cover.CARRY_TOL from its
-    integer, or raw farther than NONINTEGRAL_TOL from the lattice.
+    NonIntegral only when raw is off the lattice, farther than
+    NONINTEGRAL_TOL from it: the cover carries are integers by construction.
     """
     _require_relation(r, rel_tol)
     if branches is not None and len(branches) != 2 * r.genus:

@@ -7,10 +7,13 @@ differences (with its rank from the singular values), the Toledo
 invariant by transporting a float winding through the cover products, and
 the hyperbolic distance by the length of a fine polyline, and the Toledo
 invariant a second time as the area of the developed relation polygon,
-which shares no code with the cover.  Four are former
-implementations kept for comparison: the relation Jacobian by the product
-rule, six 2x2 sandwiches per generator, which solver replaced by closed-form
-columns through sl(2,R) read off the kept word; the Toledo invariant with
+which shares no code with the cover.  Five are former
+implementations kept for comparison: the Euler cocycle carry measured by
+arguments (three atan2s and the phase of j(m1, .) moved from i to m2.i),
+which cover replaced by a test on the signs of c and d; the relation
+Jacobian by the product rule, six 2x2 sandwiches per generator, which
+solver replaced by closed-form columns through sl(2,R) read off the kept
+word; the Toledo invariant with
 every lift on its own branch, a cover-kernel loop over the word reps.toledo
 winds, which reps.toledo replaced by the principal lift's carries; the regular
 polygon built on HPoint objects, with three distances per interior angle,
@@ -33,6 +36,7 @@ import numpy as np
 from fuchsian import solver
 from fuchsian.cover import _cinv, _cmul, _phi
 from fuchsian.halfplane import (
+    DegenerateDenominator,
     HPoint,
     Mat2,
     _act,
@@ -415,6 +419,24 @@ def _transport_inv(e: tuple) -> tuple:
     m_inv = _inv(m)
     x, y = _act(m_inv, 0.0, 1.0)
     return _rebased(m_inv, -_phi_at(m, phi, x, y))
+
+
+def atan2_cocycle(m1: tuple, m2: tuple, m: tuple) -> float:
+    """The Euler cocycle of m1 m2 = m in turns, before rounding.
+
+    (Arg j(m1,i) + Arg[j(m1,m2.i)/j(m1,i)] + Arg j(m2,i) - Arg j(m,i)) / 2pi,
+    each argument principal as math.atan2 and cmath.phase read a signed zero.
+    Where m2 moves i past the action's DEN_TOL guard, j(m1, m2.i) comes from
+    the cocycle identity j(m1, m2.i) = j(m, i) / j(m2, i) instead.
+    """
+    try:
+        x, y = _act(m2, 0.0, 1.0)
+        j1 = _j(m1[2], m1[3], x, y)
+    except DegenerateDenominator:
+        j1 = complex(m[3], m[2]) / complex(m2[3], m2[2])
+    increment = cmath.phase(j1 / complex(m1[3], m1[2]))
+    args = math.atan2(m1[2], m1[3]) + increment + math.atan2(m2[2], m2[3]) - math.atan2(m[2], m[3])
+    return args / (2.0 * math.pi)
 
 
 def transport_toledo_raw(r, branches=None) -> float:

@@ -115,24 +115,34 @@ def test_fuchsian_gen_then_toledo(genus, bound, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "A, code",
+    "A",
     [
-        (Mat2(785787.7144649233, 5957813.628175863, 139620.8594370249, 1058600.234923456), 0),
-        (Mat2(146702735.37414363, -27331471.39361245, 214202482.39371574, -39907020.172825396), 2),
+        Mat2(785787.7144649233, 5957813.628175863, 139620.8594370249, 1058600.234923456),
+        Mat2(146702735.37414363, -27331471.39361245, 214202482.39371574, -39907020.172825396),
     ],
-    ids=["entries-1e6", "entries-1e8-carry-breakdown"],
+    ids=["entries-1e6", "entries-1e8"],
 )
-def test_toledo_genus_one_large_entries(A, code, tmp_path, capsys):
+def test_toledo_genus_one_large_entries(A, tmp_path, capsys):
+    # A A^-1 is exactly I in floating point, so (A, I) commutes: invariant 0
     path = tmp_path / "big.rep"
     write_rep_file(path, Representation(1, (A,), (Mat2.identity(),)))
-    assert run(["toledo", "--in", str(path)]) == code
+    assert run(["toledo", "--in", str(path)]) == 0
     captured = capsys.readouterr()
-    if code == 0:
-        assert kv(captured.out)["value"] == "0"
-    else:
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error Euler cocycle carry")
+    out = kv(captured.out)
+    assert (out["value"], out["raw"]) == ("0", "0")
+    assert captured.err == ""
+
+
+def test_toledo_negative_determinant_exits_64(tmp_path, capsys):
+    # det = -1e6; the rounding allowance grows with max(|ad|, |bc|) = 1e6,
+    # so it stays near 1e-8 instead of admitting a sign-flipped determinant
+    path = tmp_path / "neg.rep"
+    path.write_text("genus 1\nA 1e10 0 0 -1e-4\nB 1 0 0 1\n")
+    assert run(["toledo", "--in", str(path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error determinant -1000000.0 is not 1")
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import copy
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from fuchsian.cover import (
     NotInKernel,
     _cinv,
     _cmul,
+    _cocycle,
     _phi,
     cover_inv,
     cover_mul,
@@ -21,13 +23,15 @@ from fuchsian.cover import (
     lift,
     phi_at,
 )
-from fuchsian.halfplane import HPoint, Mat2, j_cocycle, rotation
+from fuchsian.halfplane import HPoint, Mat2, _inv, _mul, j_cocycle, rotation
+from oracles import atan2_cocycle
 
 TWO_PI = 2.0 * math.pi
 I = HPoint(0.0, 1.0)
 # entries near 1e6, with A A^-1 exactly I in floating point
 BIG = Mat2(785787.7144649233, 5957813.628175863, 139620.8594370249, 1058600.234923456)
-# entries near 1e8: the carry of the inverse is 0.28 turn from an integer
+# entries near 1e8: measured by arguments, the carry of the inverse came out
+# 0.28 turn from an integer; read from signs it is 0
 HUGE = Mat2(146702735.37414363, -27331471.39361245, 214202482.39371574, -39907020.172825396)
 
 
@@ -222,9 +226,10 @@ class TestGroupLaws:
         assert kernel_value(cover_mul(e, cover_inv(e))).k == 0
         assert kernel_value(cover_mul(cover_inv(e), e)).k == 0
 
-    def test_carry_breakdown_raises_value_error(self):
-        with pytest.raises(ValueError, match="Euler cocycle carry"):
-            cover_inv(lift(HUGE))
+    def test_huge_entries_inverse_keeps_winding_zero(self):
+        e = lift(HUGE)
+        assert cover_inv(e).n == 0
+        assert kernel_value(cover_mul(e, cover_inv(e))).k == 0
 
     def test_constructed_element_keeps_its_winding(self):
         e = CoverElement(rotation(0.5), 3)
@@ -234,7 +239,7 @@ class TestGroupLaws:
 
     def test_point_past_the_action_guard(self):
         # B moves i to 1e26 i, past halfplane's DEN_TOL guard; the carry of
-        # I B is read from the cocycle identity instead of from that point
+        # I B reads only signs, so it needs no point
         B = Mat2(1e13, 0.0, 0.0, 1e-13)
         prod = cover_mul(lift(Mat2.identity(), 0), lift(B, 0))
         assert prod.A == B
@@ -273,6 +278,66 @@ class TestGroupLaws:
                 e = cover_mul(e, g)
             j = j_cocycle(e.A, I)
             assert abs(cmath.exp(e.phi_i) - j) <= 1e-8 * max(1.0, abs(j))
+
+
+def _cocycle_sample(rng: random.Random) -> Mat2:
+    """A factor for the carry oracle: generic, or with c = +-0.0, a subnormal c, or +-I."""
+    kind = rng.random()
+    if kind < 0.6:
+        return iwasawa(rng.uniform(-math.pi, math.pi), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+    s = rng.choice((-1.0, 1.0))
+    if kind < 0.9:  # upper triangular, d of either sign
+        a = s * rng.uniform(0.2, 5.0)
+        return Mat2(a, rng.uniform(-3.0, 3.0), rng.choice((0.0, -0.0)), 1.0 / a)
+    if kind < 0.97:  # subnormal c
+        a, b = s * rng.uniform(0.2, 5.0), rng.uniform(-3.0, 3.0)
+        c = rng.choice((-1.0, 1.0)) * rng.choice((5e-324, rng.uniform(0.0, 2.2e-308)))
+        return Mat2(a, b, c, (1.0 + b * c) / a)
+    return Mat2(s, rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0)), s)
+
+
+def _underflowed(m1: tuple, m2: tuple, m: tuple) -> bool:
+    # the product's c rounded to zero although the exact c1 a2 + d1 c2 is not
+    return m[2] == 0.0 and Fraction(m1[2]) * Fraction(m2[0]) + Fraction(m1[3]) * Fraction(m2[2]) != 0
+
+
+class TestCocycleOracle:
+    """The carry read from signs against the carry measured by arguments."""
+
+    def test_matches_atan2_unless_the_product_underflowed(self):
+        # products m1 m2 and m1 m1, and m1 m1^-1 both as computed and as _cinv
+        # passes it, exactly I
+        rng = random.Random(21)
+        for _ in range(4000):
+            m1, m2 = _cocycle_sample(rng), _cocycle_sample(rng)
+            m1_inv = _inv(m1)
+            for f1, f2, m in ((m1, m2, _mul(m1, m2)), (m1, m1, _mul(m1, m1)),
+                              (m1, m1_inv, _mul(m1, m1_inv)), (m1, m1_inv, (1.0, 0.0, 0.0, 1.0))):
+                if _cocycle(f1, f2, m) != round(atan2_cocycle(f1, f2, m)):
+                    assert _underflowed(f1, f2, m), (f1, f2, m)
+
+    def test_signed_zero_factors_with_negative_d(self):
+        # j(A, i) = d on the negative axis, at pi or -pi by the sign bit of c
+        for c1 in (0.0, -0.0):
+            for c2 in (0.0, -0.0):
+                for b1, b2 in ((0.0, 0.0), (1.5, -0.25), (-0.0, 2.0)):
+                    m1, m2 = Mat2(-2.0, b1, c1, -0.5), Mat2(-0.25, b2, c2, -4.0)
+                    for m in (_mul(m1, m2), _mul(m2, m1)):
+                        assert _cocycle(m1, m2, m) == round(atan2_cocycle(m1, m2, m))
+                    assert _cinv(lift(m1)) == (_inv(m1), 0)
+
+    def test_pinned_underflow(self):
+        # The exact product has c = 0.9 * 5e-324, which rounds to +0.0: the
+        # float product sits on the positive real axis while both factors sit
+        # just above it.  No exactly computed product has the codes (1, 1, 0),
+        # and the floor reads their sum 2 as a full turn; the arguments are
+        # all within 1e-323 of 0, so atan2 reads 0.  Only factors whose c is
+        # a few subnormals from zero reach this.
+        m1, m2 = Mat2(2.0, 0.0, 5e-324, 0.5), Mat2(0.4, -0.0, 5e-324, 2.5)
+        m = _mul(m1, m2)
+        assert m == (0.8, 0.0, 0.0, 1.25) and _underflowed(m1, m2, m)
+        assert round(atan2_cocycle(m1, m2, m)) == 0
+        assert _cocycle(m1, m2, m) == 1
 
 
 class TestKernel:

@@ -40,6 +40,12 @@ class TestMat2:
         with pytest.raises(ValueError):
             Mat2(2.0, 0.0, 0.0, 1.0)
 
+    def test_rejects_negative_determinant_with_large_entries(self):
+        # the rounding allowance grows with max(|ad|, |bc|) = 1e6, not with the
+        # largest entry squared, 1e20, which would admit det = -1e6
+        with pytest.raises(ValueError, match=r"determinant -1000000\.0 is not 1"):
+            Mat2(1e10, 0.0, 0.0, -1e-4)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Mat2(math.inf, 0.0, 0.0, 1.0)

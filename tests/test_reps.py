@@ -13,6 +13,7 @@ from fuchsian.reps import (
     NonIntegral,
     RelationViolated,
     Representation,
+    ToledoResult,
     branch_independence_check,
     goldman_fuchsian_test,
     reflect_conjugate,
@@ -106,14 +107,23 @@ class TestToledo:
         with pytest.raises(NonIntegral):
             toledo(bad, rel_tol=100.0)
 
-    def test_carry_breakdown_is_non_integral(self):
-        # the inverse of a generator with entries near 1e8 carries 0.28 turn
-        # off an integer; the relation (A, I) itself closes exactly
+    def test_huge_entries_commuting_pair_is_zero(self):
+        # entries near 1e8, where a carry measured by arguments came out 0.28
+        # turn off an integer; the relation (A, I) closes exactly, and a
+        # commuting pair has invariant 0
         A = Mat2(146702735.37414363, -27331471.39361245, 214202482.39371574, -39907020.172825396)
         r = Representation(1, (A,), (Mat2.identity(),))
         assert relation_residual(r) == 0.0
-        with pytest.raises(NonIntegral, match="Euler cocycle carry"):
-            toledo(r)
+        assert toledo(r) == ToledoResult(0, 0.0, 0.0, 0.0)
+
+    def test_signed_zero_abelian_pair_is_zero(self):
+        # A = B on the negative axis with c = -0.0, its inverse with c = +0.0;
+        # the two-term sign test [up1 up2 !up] - [!up1 !up2 up], with up
+        # meaning Arg j(., i) in (0, pi], reads invariant 2 here
+        A = Mat2(-2.0, 0.0, -0.0, -0.5)
+        r = Representation(1, (A,), (A,))
+        for rep in (r, reflect_conjugate(r)):
+            assert toledo(rep).value == 0
 
     def test_branch_count_checked(self, octagon_rep):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from . import polygons, repfile, tiling
 from .euclidean import LatticeGroup, reduce_point
 from .halfplane import Mat2, classify_detailed
 from .reps import (
+    REL_TOL,
     SOLVE_TOL,
     NonIntegral,
     RelationViolated,
@@ -85,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check-relation", help="commutator relation residual")
     c.add_argument("--in", dest="infile", required=True)
-    c.add_argument("--tol", type=float, default=1e-6)
+    c.add_argument("--tol", type=float, default=REL_TOL)
 
     c = sub.add_parser("classify", help="trace classification of one matrix")
     c.add_argument("--matrix", type=_quad, required=True, metavar="a,b,c,d")

@@ -26,9 +26,11 @@ size than the count of odd codes and of its parity, at most 1:
 
     c = floor((h(A1) + h(A2) - h(A1A2) + 2) / 4)
 
-No error accumulates along a word and no carry breaks down.  The signs are
-those of each product as computed: where its c underflows to zero from
-factors with nonzero c, the carry can come out a turn too large.
+No error accumulates along a word.  No exact product gives a sum 2 mod 4;
+a computed one whose c rounded to zero can (it underflows from factors with
+c a few subnormals from zero), and _cocycle refuses it with NonIntegral.
+The adjugate negates h (a zero c leaves d with the sign of a, as the det
+check holds ad near 1), so the inverse of a principal lift is principal.
 """
 from __future__ import annotations
 
@@ -59,6 +61,10 @@ _I = HPoint(0.0, 1.0)
 
 class NotInKernel(ValueError):
     """kernel_value() was given an element whose matrix part is not near I."""
+
+
+class NonIntegral(ArithmeticError, ValueError):
+    """A carry or the raw invariant is off its lattice; numerical breakdown."""
 
 
 def _j_i(m: tuple) -> complex:
@@ -105,8 +111,11 @@ def _h(m: tuple) -> int:
 
 
 def _cocycle(m1: tuple, m2: tuple, m: tuple) -> int:
-    """The Euler cocycle c of m1 m2 = m, from the quarter turns of the three."""
-    return (_h(m1) + _h(m2) - _h(m) + 2) // 4
+    """The Euler cocycle c of m1 m2 = m from quarter turns; NonIntegral for a sum 2 mod 4."""
+    s = _h(m1) + _h(m2) - _h(m)
+    if s % 4 == 2:
+        raise NonIntegral(f"Euler cocycle quarter turns sum to {s}: the c of {m!r} rounded to zero")
+    return (s + 2) // 4
 
 
 def _cmul(e1: tuple, e2: tuple) -> tuple:
@@ -116,10 +125,7 @@ def _cmul(e1: tuple, e2: tuple) -> tuple:
 
 
 def _cinv(e: tuple) -> tuple:
-    # the n' with (A, n)(A^-1, n') = (I, 0)
-    m, n = e
-    m_inv = _inv(m)
-    return m_inv, -n - _cocycle(m, m_inv, (1.0, 0.0, 0.0, 1.0))
+    return _inv(e[0]), -e[1]  # (A, n)(A^-1, -n) = (I, 0): c(A, A^-1, I) = 0
 
 
 def _phi(e: tuple) -> complex:

@@ -11,8 +11,9 @@ A matrix is its entry 4-tuple (a, b, c, d) and a point its pair (x, y):
 Mat2 and HPoint are named tuples whose constructors run the checks
 _check_mat and _check_point, so the private kernels _mul, _inv, _act and
 _dist take them as they are, and take plain tuples alike.  Every matrix and
-point a kernel returns has passed the same check, so the public operations
-wrap a kernel and build their result with _mat or _point, which skip it.
+point a kernel returns passes the same check (the adjugate _inv returns has
+its input's determinant bit for bit, so it relies on that input's check),
+so the public operations wrap a kernel with _mat or _point, which skip it.
 
 All types are immutable values and all functions are pure, so everything in
 here can be shared or sent across threads freely.
@@ -42,16 +43,17 @@ class NonPositiveScale(ValueError):
 def _check_mat(m: tuple) -> tuple:
     """The Mat2 invariant on an entry 4-tuple: finite, det = 1 within DET_TOL."""
     a, b, c, d = m
-    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
-        raise ValueError(f"non-finite matrix entries {m}")
     det = a * d - b * c
     err = abs(det - 1.0)
-    if err > DET_TOL:
-        # ad - bc itself carries ~eps * max(|ad|, |bc|) of rounding, so the
-        # check is widened where the products make the absolute tolerance
-        # unmeasurable, and by no more than they do
+    if not err <= DET_TOL:
+        # a non-finite entry made det inf or NaN; this only names the fault
+        if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
+            raise ValueError(f"non-finite matrix entries {m}")
+        # ad - bc carries ~eps * max(|ad|, |bc|) of rounding, so the check is
+        # widened where that makes DET_TOL unmeasurable, by no more than it
+        # does, and never to inf: an overflowed product leaves det unmeasured
         tol = max(DET_TOL, 64.0 * 2.22e-16 * max(abs(a * d), abs(b * c)))
-        if err > tol:
+        if not err <= tol < math.inf:
             raise ValueError(f"determinant {det!r} is not 1 within {tol}")
     return m
 
@@ -76,9 +78,10 @@ def _mul(m: tuple, n: tuple) -> tuple:
 
 
 def _inv(m: tuple) -> tuple:
-    """Adjugate: exact for det = 1, never amplifies the entries."""
+    """Adjugate: exact for det = 1, never amplifies the entries.  Unchecked:
+    m is a Mat2 or a kernel product, and d a - (-b)(-c) rounds as a d - b c."""
     a, b, c, d = m
-    return _check_mat((d, -b, -c, a))
+    return d, -b, -c, a
 
 
 def _j(c: float, d: float, x: float, y: float) -> complex:

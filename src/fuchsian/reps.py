@@ -8,9 +8,9 @@ P_0 = I, P_k = P_{k-1} L_k.  The Toledo invariant lifts that same word to the
 universal cover on principal branches and reads the winding of the resulting
 central element: tau = Im phi(i) / pi, where phi(i) = Log j(P_4g, i) + 2 pi i n
 and the integer n sums the Euler cocycle carries c(P_{k-1}, L_k, P_k) of the
-word's products, plus -c(A, A^-1, I) for the lift of each inverse letter.  It
-does not depend on the branch chosen for any lift, because each lift appears
-in a commutator together with its inverse.
+word's products; the lift of an inverse letter, the inverse of a principal
+lift, is principal itself.  It does not depend on the branch chosen for any
+lift, because each lift appears in a commutator together with its inverse.
 
 Side-pairing constructions may satisfy the relation only up to sign (the
 product lands on -I).  Commutators are blind to the signs of the individual
@@ -30,7 +30,7 @@ from math import pi
 
 # lift, cover_mul and cover_inv stay importable here: bench/tracer.py wraps
 # them under these names.
-from .cover import _cinv, _cmul, _cocycle, _phi, cover_inv, cover_mul, lift  # noqa: F401
+from .cover import NonIntegral, _cinv, _cmul, _cocycle, _phi, cover_inv, cover_mul, lift  # noqa: F401
 from .halfplane import Mat2, _frobenius, _inv, _mat, _mul
 
 _EYE = (1.0, 0.0, 0.0, 1.0)
@@ -47,10 +47,6 @@ CENTRALIZER_TOL = 1e-9
 
 class RelationViolated(ValueError):
     """The generators do not satisfy the surface-group relation."""
-
-
-class NonIntegral(ArithmeticError, ValueError):
-    """The raw invariant is too far from its lattice; numerical breakdown."""
 
 
 @dataclass(frozen=True)
@@ -104,16 +100,10 @@ class Representation:
 
     @cached_property
     def _winding(self) -> int:
-        """Integer winding n of the relation word lifted on principal branches;
-        its carries are integers by construction, so it raises no NonIntegral."""
+        """Integer winding of the word's principal lift, the sum of its product
+        carries; NonIntegral from a refused carry, and then nothing is kept."""
         letters, partials = self._relation
-        n = 0
-        for k, L in enumerate(letters):
-            if k % 4 >= 2:
-                # L = A^-1, lifted as the inverse of A's principal lift
-                n -= _cocycle(letters[k - 2], L, _EYE)
-            n += _cocycle(partials[k], L, partials[k + 1])
-        return n
+        return sum(map(_cocycle, partials, letters, partials[1:]))
 
 
 def _distance_to_pm_eye(m: tuple) -> tuple[float, float]:
@@ -204,8 +194,8 @@ def toledo(
     check reads, so kernel_matrix_residual equals relation_residual(r).
     The word is multiplied once per Representation instance and its carries
     summed once; the checks below run on every call.
-    NonIntegral only when raw is off the lattice, farther than
-    NONINTEGRAL_TOL from it: the cover carries are integers by construction.
+    NonIntegral when raw is farther than NONINTEGRAL_TOL from the lattice,
+    or when cover._cocycle refuses a carry of the word.
     """
     _require_relation(r, rel_tol)
     if branches is not None and len(branches) != 2 * r.genus:
@@ -246,7 +236,7 @@ def reflect_conjugate(r: Representation) -> Representation:
     floating point, and corresponds to reversing the surface orientation.
     """
     def refl(M: Mat2) -> Mat2:
-        return Mat2(M.a, -M.b, -M.c, M.d)
+        return _mat((M.a, -M.b, -M.c, M.d))  # det bit for bit M's
 
     return Representation(
         r.genus, tuple(refl(A) for A in r.gens_a), tuple(refl(B) for B in r.gens_b)

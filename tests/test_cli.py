@@ -145,6 +145,39 @@ def test_toledo_negative_determinant_exits_64(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error determinant -1000000.0 is not 1")
 
 
+def test_toledo_overflowed_determinant_exits_64(tmp_path, capsys):
+    # ad = 1e400 overflows, and so does the rounding allowance it sets
+    path = tmp_path / "inf.rep"
+    path.write_text("genus 1\nA 1e200 0 0 1e200\nB 1 0 0 1\n")
+    assert run(["toledo", "--in", str(path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error determinant inf is not 1")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["genus 1\nA 2 0 5e-324 0.5\nB 0.4 -0.0 5e-324 2.5\n",
+     "genus 1\nA 2 -0.0 -5e-324 0.5\nB 0.4 0.0 -5e-324 2.5\n"],
+    ids=["underflow", "underflow-reflected"],
+)
+def test_toledo_underflowed_carry_exits_2(text, tmp_path, capsys):
+    # A B has exact c = 0.9 * 5e-324, which rounds to zero: the relation
+    # holds, but the carry of that product cannot be read from its signs
+    path = tmp_path / "underflow.rep"
+    path.write_text(text)
+    assert run(["check-relation", "--in", str(path)]) == 0
+    capsys.readouterr()
+    assert run(["toledo", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error Euler cocycle quarter turns sum to ")
+    assert lines[0].endswith("rounded to zero")
+
+
 @pytest.mark.parametrize(
     "text",
     ["genus 1\nA 1 0 0 1\nB 1e13 0 0 1e-13\n", "genus 1\nA 1e13 0 0 1e-13\nB 1 0 0 1\n"],

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from conftest import hpoints, iwasawa, mat_close, sl2_matrices
 from fuchsian.cover import (
     CoverElement,
+    NonIntegral,
     NotInKernel,
     _cinv,
     _cmul,
     _cocycle,
+    _h,
     _phi,
     cover_inv,
     cover_mul,
@@ -23,7 +25,7 @@ from fuchsian.cover import (
     lift,
     phi_at,
 )
-from fuchsian.halfplane import HPoint, Mat2, _inv, _mul, j_cocycle, rotation
+from fuchsian.halfplane import HPoint, Mat2, _check_mat, _inv, _mul, j_cocycle, rotation
 from oracles import atan2_cocycle
 
 TWO_PI = 2.0 * math.pi
@@ -305,8 +307,8 @@ class TestCocycleOracle:
     """The carry read from signs against the carry measured by arguments."""
 
     def test_matches_atan2_unless_the_product_underflowed(self):
-        # products m1 m2 and m1 m1, and m1 m1^-1 both as computed and as _cinv
-        # passes it, exactly I
+        # products m1 m2 and m1 m1, and m1 m1^-1 both as computed and as
+        # exactly I
         rng = random.Random(21)
         for _ in range(4000):
             m1, m2 = _cocycle_sample(rng), _cocycle_sample(rng)
@@ -330,14 +332,28 @@ class TestCocycleOracle:
         # The exact product has c = 0.9 * 5e-324, which rounds to +0.0: the
         # float product sits on the positive real axis while both factors sit
         # just above it.  No exactly computed product has the codes (1, 1, 0),
-        # and the floor reads their sum 2 as a full turn; the arguments are
-        # all within 1e-323 of 0, so atan2 reads 0.  Only factors whose c is
-        # a few subnormals from zero reach this.
+        # whose sum 2 lies halfway between two carries, so the carry is
+        # refused instead of rounded; the arguments are all within 1e-323 of
+        # 0, so atan2 reads 0.  Only factors whose c is a few subnormals from
+        # zero reach this.
         m1, m2 = Mat2(2.0, 0.0, 5e-324, 0.5), Mat2(0.4, -0.0, 5e-324, 2.5)
         m = _mul(m1, m2)
         assert m == (0.8, 0.0, 0.0, 1.25) and _underflowed(m1, m2, m)
         assert round(atan2_cocycle(m1, m2, m)) == 0
-        assert _cocycle(m1, m2, m) == 1
+        with pytest.raises(NonIntegral, match="quarter turns sum to 2"):
+            _cocycle(m1, m2, m)
+
+    def test_inverse_negates_the_quarter_turns(self):
+        # the oracle's corpus: the adjugate passes the check its input passed,
+        # flips the sign of c, and for a zero c keeps d on a's side of zero,
+        # so c(A, A^-1, I) = 0 and _cinv adds no carry
+        rng = random.Random(21)
+        for _ in range(4000):
+            for m in (_cocycle_sample(rng), _cocycle_sample(rng)):
+                m_inv = _inv(m)
+                assert _check_mat(m_inv) == m_inv
+                assert _h(m_inv) == -_h(m)
+                assert _cocycle(m, m_inv, (1.0, 0.0, 0.0, 1.0)) == 0
 
 
 class TestKernel:

@@ -46,9 +46,25 @@ class TestMat2:
         with pytest.raises(ValueError, match=r"determinant -1000000\.0 is not 1"):
             Mat2(1e10, 0.0, 0.0, -1e-4)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [(1e200, 0.0, 0.0, 1e200), (1e200, 1e200, 1e200, 1e200), (1e155, 1e155, -1e155, 1e155)],
+        ids=["det-inf", "det-nan", "both-products-overflow"],
+    )
+    def test_rejects_overflowed_determinant(self, entries):
+        # ad or bc overflows, and the rounding allowance with it: such a det
+        # is not measured, so it is refused
+        with pytest.raises(ValueError, match=r"determinant (inf|nan) is not 1 within inf"):
+            Mat2(*entries)
+
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Mat2(math.inf, 0.0, 0.0, 1.0)
+        # the det comparison refuses it first; the message still says why
+        for bad in (math.inf, -math.inf, math.nan):
+            for k in range(4):
+                entries = [1.0, 0.0, 0.0, 1.0]
+                entries[k] = bad
+                with pytest.raises(ValueError, match="non-finite matrix entries"):
+                    Mat2(*entries)
 
     def test_product_overflow_raises(self):
         # the entries of the square overflow; the product must not return inf/NaN

@@ -21,6 +21,7 @@ from fuchsian.reps import (
     relation_residual,
     toledo,
 )
+import fuchsian
 from fuchsian import cover, reps
 from fuchsian.solver import solve
 from oracles import bisection_rep, object_side_pairings, per_branch_toledo, transport_toledo_raw
@@ -282,8 +283,8 @@ class TestPrincipalLift:
         r2, _ = parse_rep(text)
         assert r1 == r2 and hash(r1) == hash(r2) and r1 is not r2
         # genus 2: one matrix product per letter of the 8-letter word, and
-        # one carry per product plus one per inverse letter's lift
-        word = {"_cmul": 0, "_mul": 8, "_cocycle": 12}
+        # one carry per product; an inverse letter's lift carries nothing
+        word = {"_cmul": 0, "_mul": 8, "_cocycle": 8}
 
         first = toledo(r1)
         assert calls == word
@@ -302,6 +303,18 @@ class TestPrincipalLift:
                 toledo(bad)
             with pytest.raises(NonIntegral):
                 toledo(bad, rel_tol=100.0)
+
+    def test_underflowed_carry_is_refused_on_every_call(self):
+        # A B has exact c = 0.9 * 5e-324, which rounds to zero: the relation
+        # holds, its reflection too, and neither winding is kept
+        A, B = Mat2(2.0, 0.0, 5e-324, 0.5), Mat2(0.4, -0.0, 5e-324, 2.5)
+        r = Representation(1, (A,), (B,))
+        for rep in (r, reflect_conjugate(r)):
+            for _ in range(2):
+                assert relation_residual(rep) == 0.0
+                with pytest.raises(NonIntegral, match="rounded to zero"):
+                    toledo(rep)
+        assert NonIntegral is cover.NonIntegral is fuchsian.NonIntegral
 
     def test_relation_refusal_then_infinite_tolerance(self):
         # the g = 47 polygon paired in the centre frame misses REL_TOL, and

@@ -46,7 +46,7 @@ def parse_rep(text: str) -> tuple[Representation, list[str]]:
             parts = rest.split()
             if len(parts) != 4:
                 raise ValueError(f"line {lineno}: expected 4 entries, got {len(parts)}")
-            M = Mat2(*(float(p) for p in parts))
+            M = Mat2(*map(float, parts))
             (mats_a if key == "A" else mats_b).append(M)
         elif key == "meta":
             meta.append(rest)

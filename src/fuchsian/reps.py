@@ -56,8 +56,9 @@ class Representation:
     Construction does not enforce the relation, so solver iterates and other
     unvalidated candidates can be carried around; anything consuming the
     representation as a representation checks relation_residual itself.
-    The relation word (its letters and partial products) and the integer
-    winding of its principal lift are evaluated on first use and kept on the
+    The relation word (its letters and partial products), the word's
+    distances to +-I, the integer winding of its principal lift and the
+    ToledoResult read off them are evaluated on first use and kept on the
     instance, not keyed by value: equal instances each compute theirs.
     """
 
@@ -105,6 +106,16 @@ class Representation:
         letters, partials = self._relation
         return sum(map(_cocycle, partials, letters, partials[1:]))
 
+    @cached_property
+    def _distances(self) -> tuple[float, float]:
+        """Frobenius distances of the word to I and to -I; ValueError as _relation."""
+        return _distance_to_pm_eye(self._relation[1][-1])
+
+    @cached_property
+    def _toledo(self) -> "ToledoResult":
+        """The word's ToledoResult before toledo's checks; no refusal is kept."""
+        return _lattice_point((self._relation[1][-1], self._winding), self._distances)
+
 
 def _distance_to_pm_eye(m: tuple) -> tuple[float, float]:
     return _frobenius(m, _EYE), _frobenius(m, _MINUS_EYE)
@@ -123,15 +134,15 @@ def relation_product(r: Representation) -> Mat2:
 def relation_residual(r: Representation) -> float:
     """Frobenius distance of the commutator product to +-I (sign-tolerant).
 
-    inf when a partial product of the word cannot be renormalized onto
-    det = 1 (its entries overflow, or rounding drives its det to zero or
-    below): the relation cannot be verified for such generators.
+    Read off the instance's kept distances; inf, and nothing kept, when a
+    partial product of the word cannot be renormalized onto det = 1 (its
+    entries overflow, or rounding drives its det to zero or below): the
+    relation cannot be verified for such generators.
     """
     try:
-        partials = r._relation[1]
+        return min(r._distances)
     except ValueError:
         return math.inf
-    return min(_distance_to_pm_eye(partials[-1]))
 
 
 def _require_relation(r: Representation, rel_tol: float = REL_TOL) -> None:
@@ -192,8 +203,9 @@ def toledo(
     so the result cannot depend on them and is read from the principal
     lift.  The lift winds the relation word whose residual the relation
     check reads, so kernel_matrix_residual equals relation_residual(r).
-    The word is multiplied once per Representation instance and its carries
-    summed once; the checks below run on every call.
+    The result is derived once per Representation instance and returned,
+    immutable, on every call; the relation check, the branch count,
+    NonIntegral and the warning run on every call, and no refusal is kept.
     NonIntegral when raw is farther than NONINTEGRAL_TOL from the lattice,
     or when cover._cocycle refuses a carry of the word.
     """
@@ -201,27 +213,24 @@ def toledo(
     if branches is not None and len(branches) != 2 * r.genus:
         raise ValueError(f"need {2 * r.genus} branch integers, got {len(branches)}")
 
-    value, raw, kernel_matrix_residual, psl_only = _lattice_point((r._relation[1][-1], r._winding))
-    residual = abs(raw - value)
-    if residual > NONINTEGRAL_TOL:
-        raise NonIntegral(
-            f"raw invariant {raw!r} is {residual:.3e} from the lattice"
-        )
-    if residual > WARN_TOL:
+    result = r._toledo
+    if result.residual > NONINTEGRAL_TOL:
+        raise NonIntegral(f"raw invariant {result.raw!r} is {result.residual:.3e} from the lattice")
+    if result.residual > WARN_TOL:
         warnings.warn(
-            f"Toledo invariant residual {residual:.3e} is unusually large",
+            f"Toledo invariant residual {result.residual:.3e} is unusually large",
             stacklevel=2,
         )
-    return ToledoResult(value, raw, residual, kernel_matrix_residual, psl_only)
+    return result
 
 
-def _lattice_point(e: tuple) -> tuple:
-    """(value, raw, distance to +-I, psl_only) of a cover element e = (m, n) over +-I."""
-    dist_plus, dist_minus = _distance_to_pm_eye(e[0])
+def _lattice_point(e: tuple, distances: tuple[float, float]) -> ToledoResult:
+    """ToledoResult of a cover element e = (m, n) over +-I, given m's distances to I and -I."""
+    dist_plus, dist_minus = distances
     psl_only = dist_minus < dist_plus
     raw = _phi(e).imag / pi
-    value = round(raw) if psl_only else 2 * round(raw / 2.0)  # odd over -I, even over +I
-    return int(value), raw, min(dist_plus, dist_minus), psl_only
+    value = int(round(raw) if psl_only else 2 * round(raw / 2.0))  # odd over -I, even over +I
+    return ToledoResult(value, raw, abs(raw - value), min(distances), psl_only)
 
 
 def goldman_fuchsian_test(r: Representation) -> bool:
@@ -263,6 +272,6 @@ def branch_independence_check(
             b = (B, rng.randint(-span, span))
             for letter in (a, b, _cinv(a), _cinv(b)):
                 total = _cmul(total, letter)
-        if _lattice_point(total)[0] != base:
+        if _lattice_point(total, _distance_to_pm_eye(total[0])).value != base:
             return False
     return True

@@ -35,6 +35,11 @@ def rotations_rep(genus, angles_a, angles_b):
     )
 
 
+def near_lattice_rep():
+    # relation residual 9.9e-5; raw lies 3.16e-5 off the lattice, past WARN_TOL
+    return Representation(1, (scaling(1.005),), (Mat2(1.0, 0.0, 0.01, 1.0),))
+
+
 class TestRelationResidual:
     def test_trivial_rep(self):
         assert relation_residual(Representation.trivial(3)) == 0.0
@@ -265,7 +270,7 @@ class TestPrincipalLift:
             assert_same_bits_as_per_branch(reflect_conjugate(r), rng)
 
     def test_equal_instances_each_evaluate_their_own_words(self, monkeypatch, octagon_rep):
-        calls = {"_cmul": 0, "_mul": 0, "_cocycle": 0}
+        calls = {"_cmul": 0, "_mul": 0, "_cocycle": 0, "_lattice_point": 0, "_distance_to_pm_eye": 0}
 
         def counting(module, name):
             inner = getattr(module, name)
@@ -278,13 +283,16 @@ class TestPrincipalLift:
         counting(cover, "_cmul")
         counting(reps, "_mul")
         counting(reps, "_cocycle")
+        counting(reps, "_lattice_point")
+        counting(reps, "_distance_to_pm_eye")
         text = format_rep(octagon_rep)
         r1, _ = parse_rep(text)
         r2, _ = parse_rep(text)
         assert r1 == r2 and hash(r1) == hash(r2) and r1 is not r2
         # genus 2: one matrix product per letter of the 8-letter word, and
-        # one carry per product; an inverse letter's lift carries nothing
-        word = {"_cmul": 0, "_mul": 8, "_cocycle": 8}
+        # one carry per product; an inverse letter's lift carries nothing.
+        # The word's distances to +-I and its lattice point are read once.
+        word = {"_cmul": 0, "_mul": 8, "_cocycle": 8, "_lattice_point": 1, "_distance_to_pm_eye": 1}
 
         first = toledo(r1)
         assert calls == word
@@ -303,6 +311,15 @@ class TestPrincipalLift:
                 toledo(bad)
             with pytest.raises(NonIntegral):
                 toledo(bad, rel_tol=100.0)
+        # the warning of a kept result is issued on every call, and the
+        # relation check still refuses at the default tolerance
+        r = near_lattice_rep()
+        for _ in range(2):
+            with pytest.warns(UserWarning, match=r"residual 3\.159e-05 is unusually large"):
+                t = toledo(r, rel_tol=1e-3)
+            assert (t.value, t.kernel_matrix_residual) == (0, relation_residual(r))
+            with pytest.raises(RelationViolated, match=r"relation residual 9\.925e-05 exceeds 1\.0e-06"):
+                toledo(r)
 
     def test_underflowed_carry_is_refused_on_every_call(self):
         # A B has exact c = 0.9 * 5e-324, which rounds to zero: the relation
@@ -314,6 +331,7 @@ class TestPrincipalLift:
                 assert relation_residual(rep) == 0.0
                 with pytest.raises(NonIntegral, match="rounded to zero"):
                     toledo(rep)
+            assert not {"_winding", "_toledo"} & vars(rep).keys()
         assert NonIntegral is cover.NonIntegral is fuchsian.NonIntegral
 
     def test_relation_refusal_then_infinite_tolerance(self):
@@ -348,6 +366,13 @@ class TestPrincipalLift:
         for branches in ([0, 0, 0], [0] * 5):
             with pytest.raises(ValueError, match="need 4 branch integers"):
                 toledo(octagon_rep, branches=branches)
+        # the count comes before the warning of a kept result
+        r = near_lattice_rep()
+        with pytest.warns(UserWarning, match="unusually large"):
+            toledo(r, rel_tol=1e-3)
+        for branches in ([0], [0] * 3):
+            with pytest.raises(ValueError, match="need 2 branch integers"):
+                toledo(r, branches=branches, rel_tol=1e-3)
 
 
 class TestChecks:

@@ -44,7 +44,7 @@ MAX_TILE_DEPTH = 5
 # checked before enumerating; genus 2 at depth 5 meets it exactly
 MAX_TILES = 22_409
 # the polygon envelope is scanned up to genus 150, where fuchsian-gen's
-# relation residual is 2.7e-8 against REL_TOL = 1e-6; past it the pairings
+# relation residual is 3.1e-8 against REL_TOL = 1e-6; past it the pairings
 # miss PAIRING_TOL from genus 841 (the rounding of the vertices they are
 # certified against), and solve allocates 2g coordinate rows
 MAX_GENUS = 150

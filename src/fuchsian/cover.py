@@ -48,6 +48,7 @@ from .halfplane import (  # noqa: F401
     _inv,
     _mat,
     _mul,
+    _renorm,
     frobenius_distance,
     j_cocycle,
     mobius_act,
@@ -99,8 +100,8 @@ class KernelValue(NamedTuple):
     residual: float
 
 
-# Kernels on (entries, n) pairs, entries an (a, b, c, d) tuple that passed
-# halfplane's _check_mat and n the integer winding: a CoverElement is one.
+# Kernels on (entries, n) pairs, entries an (a, b, c, d) tuple and n the
+# integer winding: a CoverElement is one.  _cmul's product is unchecked.
 
 def _h(m: tuple) -> int:
     """h(A): Arg j(A, i) = Arg(d + ci) in quarter turns, a signed zero read as by math.atan2."""
@@ -143,8 +144,9 @@ def phi_at(e: CoverElement, z: HPoint) -> complex:
 
 
 def cover_mul(e1: CoverElement, e2: CoverElement) -> CoverElement:
-    m, n = _cmul(e1, e2)
-    return CoverElement(_mat(m), n)
+    (m1, n1), (m2, n2) = e1, e2
+    m = _renorm(*_mul(m1, m2))
+    return CoverElement(_mat(m), n1 + n2 + _cocycle(m1, m2, m))
 
 
 def cover_inv(e: CoverElement) -> CoverElement:

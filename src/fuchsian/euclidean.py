@@ -15,15 +15,16 @@ Vec2 = tuple[float, float]
 
 @dataclass(frozen=True)
 class LatticeGroup:
-    """Translations n*a + m*b for integer n, m; a and b finite and independent."""
+    """Translations n*a + m*b for integer n, m; a, b, det finite, sine of their angle > 1e-12."""
 
     a: Vec2
     b: Vec2
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (*self.a, *self.b))):
-            raise ValueError(f"basis {self.a}, {self.b} is not finite")
-        if abs(self._det()) <= 1e-12:
+        det = self._det()
+        if not all(map(math.isfinite, (*self.a, *self.b, det))):
+            raise ValueError(f"basis {self.a}, {self.b} or its determinant is not finite")
+        if not abs(det) > 1e-12 * math.hypot(*self.a) * math.hypot(*self.b):
             raise ValueError(f"basis {self.a}, {self.b} is (nearly) dependent")
 
     def _det(self) -> float:

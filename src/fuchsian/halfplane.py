@@ -10,10 +10,11 @@ and its j-cocycle j(A, z) = cz + d, trace classification, and the metric
 A matrix is its entry 4-tuple (a, b, c, d) and a point its pair (x, y):
 Mat2 and HPoint are named tuples whose constructors run the checks
 _check_mat and _check_point, so the private kernels _mul, _inv, _act and
-_dist take them as they are, and take plain tuples alike.  Every matrix and
-point a kernel returns passes the same check (the adjugate _inv returns has
-its input's determinant bit for bit, so it relies on that input's check),
-so the public operations wrap a kernel with _mat or _point, which skip it.
+_dist take them as they are, and take plain tuples alike.  _mul is the plain
+product: Mat2 @, cover.cover_mul and the relation word in reps check theirs
+once, through _renorm.  _act checks the point it returns, and the adjugate
+_inv returns keeps its input's det bit for bit, and so its check; so the
+public operations wrap a kernel with _mat or _point, which skip the check.
 
 All types are immutable values and all functions are pure, so everything in
 here can be shared or sent across threads freely.
@@ -68,13 +69,12 @@ def _renorm(a: float, b: float, c: float, d: float) -> tuple:
 
 
 def _mul(m: tuple, n: tuple) -> tuple:
-    """Checked product of two entry 4-tuples, renormalized onto det = 1.
-
-    Renormalizing every product keeps long words from drifting off det = 1.
-    """
+    """Plain product of two entry 4-tuples, unchecked: a word of them drifts
+    off det = 1 by a few roundings per product (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3), so callers check it once."""
     a, b, c, d = m
     e, f, g, h = n
-    return _renorm(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def _inv(m: tuple) -> tuple:
@@ -136,7 +136,7 @@ class Mat2(namedtuple("Mat2", "a b c d")):
         return self.a + self.d
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        return _mat(_mul(self, other))
+        return _mat(_renorm(*_mul(self, other)))
 
     def inv(self) -> "Mat2":
         return _mat(_inv(self))

@@ -165,8 +165,8 @@ def side_pairings(p: HyperbolicPolygon) -> Representation:
     rot(-theta_t/2) diag(e^h, e^-h) rot(theta_s/2 - pi/2).  It is emitted in
     the vertex frame z -> z / Im(vertex 0), where the word's product after
     each commutator is a rotation about i (in the centre frame its entries
-    grow like g^2 and the word misses REL_TOL from g = 42), and certified
-    against the vertices in that frame.
+    grow like g^2 and the word misses REL_TOL first at g = 41 and at every
+    g from 52), and certified against the vertices in that frame.
     """
     g = p.genus
     n = 4 * g

@@ -11,6 +11,8 @@ and the integer n sums the Euler cocycle carries c(P_{k-1}, L_k, P_k) of the
 word's products; the lift of an inverse letter, the inverse of a principal
 lift, is principal itself.  It does not depend on the branch chosen for any
 lift, because each lift appears in a commutator together with its inverse.
+The products are plain kernel products, and the word is checked once, at
+its end.
 
 Side-pairing constructions may satisfy the relation only up to sign (the
 product lands on -I).  Commutators are blind to the signs of the individual
@@ -31,7 +33,7 @@ from math import pi
 # lift, cover_mul and cover_inv stay importable here: bench/tracer.py wraps
 # them under these names.
 from .cover import NonIntegral, _cinv, _cmul, _cocycle, _phi, cover_inv, cover_mul, lift  # noqa: F401
-from .halfplane import Mat2, _frobenius, _inv, _mat, _mul
+from .halfplane import Mat2, _frobenius, _inv, _mat, _mul, _renorm
 
 _EYE = (1.0, 0.0, 0.0, 1.0)
 _MINUS_EYE = (-1.0, -0.0, -0.0, -1.0)
@@ -88,22 +90,17 @@ class Representation:
 
     @cached_property
     def _relation(self) -> tuple:
-        """The relation word as (letters, partial products); ValueError when a
-        partial product cannot be renormalized, and then nothing is kept."""
-        # Letters A_1, B_1, A_1^-1, B_1^-1, ... multiplied left to right:
-        # P_0 = I and P_k = P_{k-1} L_k, so the last partial product is the word.
-        letters, partials = [], [_EYE]
-        for A, B in zip(self.gens_a, self.gens_b):
-            for L in (A, B, _inv(A), _inv(B)):
-                letters.append(L)
-                partials.append(_mul(partials[-1], L))
-        return letters, partials
+        """The relation word as _word's (letters, partial products) and the
+        last product through _renorm, the word's one check; ValueError when
+        it cannot be renormalized, and then nothing is kept."""
+        letters, partials = _word(zip(self.gens_a, self.gens_b))
+        return letters, partials, _renorm(*partials[-1])
 
     @cached_property
     def _winding(self) -> int:
         """Integer winding of the word's principal lift, the sum of its product
         carries; NonIntegral from a refused carry, and then nothing is kept."""
-        letters, partials = self._relation
+        letters, partials, _ = self._relation
         return sum(map(_cocycle, partials, letters, partials[1:]))
 
     @cached_property
@@ -117,6 +114,17 @@ class Representation:
         return _lattice_point((self._relation[1][-1], self._winding), self._distances)
 
 
+def _word(pairs) -> tuple:
+    """(letters, partial products) of the relation word of the pairs (A_i, B_i):
+    A_1, B_1, A_1^-1, B_1^-1, ... times P_0 = I by the plain kernel, unchecked."""
+    letters, partials = [], [_EYE]
+    for A, B in pairs:
+        for L in (A, B, _inv(A), _inv(B)):
+            letters.append(L)
+            partials.append(_mul(partials[-1], L))
+    return letters, partials
+
+
 def _distance_to_pm_eye(m: tuple) -> tuple[float, float]:
     return _frobenius(m, _EYE), _frobenius(m, _MINUS_EYE)
 
@@ -124,20 +132,20 @@ def _distance_to_pm_eye(m: tuple) -> tuple[float, float]:
 def relation_product(r: Representation) -> Mat2:
     """The commutator product A_1 B_1 A_1^-1 B_1^-1 ... as a checked Mat2.
 
-    ValueError ("cannot renormalize entries with det ...") when a partial
-    product of the word cannot be renormalized onto det = 1, the case where
+    The word's product renormalized onto det = 1.  ValueError ("cannot
+    renormalize entries with det ...") when it cannot be, the case where
     relation_residual returns inf.
     """
-    return _mat(r._relation[1][-1])
+    return _mat(r._relation[2])
 
 
 def relation_residual(r: Representation) -> float:
     """Frobenius distance of the commutator product to +-I (sign-tolerant).
 
-    Read off the instance's kept distances; inf, and nothing kept, when a
-    partial product of the word cannot be renormalized onto det = 1 (its
-    entries overflow, or rounding drives its det to zero or below): the
-    relation cannot be verified for such generators.
+    Read off the instance's kept distances; inf, and nothing kept, when the
+    word's product cannot be renormalized onto det = 1 (its entries
+    overflow, or rounding drives its det to zero or below): the relation
+    cannot be verified for such generators.
     """
     try:
         return min(r._distances)

@@ -26,7 +26,8 @@ Math. 54, 1984) has the columns
     d_s P = (the same with H) + 2u d_u P.
 With 3 equations and 6g unknowns the damped step is taken through the 3x3
 system (J J^T + lambda I) y = gap, delta = -J^T y, solved in closed form.
-Iterates are unvalidated candidates, so their products are unchecked; the
+Iterates are unvalidated candidates, so their products are unchecked: the
+pass is reps._word, which builds each Representation's word too, and the
 result is validated where rep_from_coords builds the representation.
 """
 from __future__ import annotations
@@ -35,12 +36,10 @@ import math
 import operator
 import sys
 
-from .halfplane import Mat2
+from .halfplane import Mat2, _mul
 # jacobian_rank stays importable here: bench/tracer.py wraps it under this
 # name and bench/workloads.py calls it here.
-from .reps import SOLVE_TOL, Representation, _require_relation, jacobian_rank  # noqa: F401
-
-_EYE = (1.0, 0.0, 0.0, 1.0)
+from .reps import _EYE, SOLVE_TOL, Representation, _require_relation, _word, jacobian_rank  # noqa: F401
 
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
@@ -64,26 +63,14 @@ def _matrix(th: float, s: float, u: float) -> tuple:
     return (ce, ce * u - sn / e, se, se * u + c / e)
 
 
-def _mul(m: tuple, n: tuple) -> tuple:
-    # unchecked 2x2 product: iterates are validated only at the boundary
-    a, b, c, d = m
-    e, f, g, h = n
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
 def _evaluate(rows: list) -> tuple:
     """(letters, prefixes) of the relation word A_1 B_1 A_1^-1 B_1^-1 ...
 
-    prefixes[-1] is the relation product.  ArithmeticError when a
-    generator's e^s overflows or underflows.
+    reps._word of the generators at rows; prefixes[-1] is the relation
+    product.  ArithmeticError when a generator's e^s overflows or underflows.
     """
-    letters, pre = [], [_EYE]
-    for ra, rb in zip(rows[0::2], rows[1::2]):
-        a, b = _matrix(*ra), _matrix(*rb)
-        for L in (a, b, (a[3], -a[1], -a[2], a[0]), (b[3], -b[1], -b[2], b[0])):
-            letters.append(L)
-            pre.append(_mul(pre[-1], L))
-    return letters, pre
+    mats = [_matrix(*row) for row in rows]
+    return _word(zip(mats[0::2], mats[1::2]))
 
 
 def relation_gap(rows: list) -> tuple:

@@ -239,10 +239,10 @@ def product_rule_jacobian(rows) -> np.ndarray:
     eye = (1.0, 0.0, 0.0, 1.0)
     pre = [eye]
     for L in word:
-        pre.append(solver._mul(pre[-1], L))
+        pre.append(_mul(pre[-1], L))
     suf = [eye]
     for L in reversed(word):
-        suf.append(solver._mul(L, suf[-1]))
+        suf.append(_mul(L, suf[-1]))
     suf.reverse()  # suf[k] = L_k ... L_last, so S_k is suf[k + 1]
     cols = []
     for i, (th, s, u) in enumerate(rows):

@@ -101,7 +101,7 @@ def test_toledo_relation_violated_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("genus, bound", [(20, 1e-10), (30, 1e-10), (47, 1e-10), (48, 1e-10), (150, 1e-8)])
 def test_fuchsian_gen_then_toledo(genus, bound, tmp_path, capsys):
     # the polygon envelope, up to MAX_GENUS, written and read back; the raw
-    # error measured 6.2e-12, 7.2e-12, 6.9e-11, 2.2e-11 and 3.4e-9
+    # error measured 8.3e-12, 9.6e-12, 1.2e-11, 6.5e-11 and 5.6e-9
     path = tmp_path / "gen.rep"
     assert run(["fuchsian-gen", "--genus", str(genus), "--out", str(path)]) == 0
     gen = kv(capsys.readouterr().out)
@@ -238,7 +238,7 @@ def test_toledo_branches_outside_domain_exits_64(branches, tmp_path, capsys):
 
 @pytest.mark.parametrize("command, code", [("check-relation", 1), ("toledo", 3)])
 def test_unrenormalizable_word_exits_with_one_error_line(command, code, tmp_path):
-    # a valid file whose relation word cannot be renormalized (det -128 at 7 handles)
+    # a valid file whose relation word cannot be renormalized (det 0.0 at 7 handles)
     path = tmp_path / "seven.rep"
     write_rep_file(path, Representation(7, (scaling(20.0),) * 7, (rotation(0.7),) * 7))
     src = str(Path(fuchsian.__file__).parents[1])
@@ -403,6 +403,13 @@ def test_euclid_reduce_command(capsys):
     assert (out["n"], out["m"]) == ("2", "-1")
 
 
+def test_euclid_reduce_small_basis(capsys):
+    # an orthogonal basis is independent at any scale
+    assert run(["euclid-reduce", "--a", "1e-7,0", "--b", "0,1e-7", "--p", "3.5e-7,0"]) == 0
+    out = kv(capsys.readouterr().out)
+    assert (out["n"], out["m"]) == ("3", "0")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -439,12 +446,13 @@ def test_module_entry_point(tmp_path):
         ["fuchsian-gen", "--genus", "1", "--out", "rep.txt"],
         ["euclid-reduce", "--a", "1,0", "--b", "0,1", "--p=inf,0"],
         ["euclid-reduce", "--a=inf,0", "--b", "0,1", "--p", "0,0"],
+        ["euclid-reduce", "--a", "1e200,0", "--b", "0,1e200", "--p", "3,4"],
         ["solve", "--genus", "2", "--max-iter", "-3", "--out", "rep.txt"],
         ["solve", "--genus", "2", "--tol", "nan", "--out", "rep.txt"],
     ],
     ids=["malformed-file", "missing-file", "det-not-one", "dependent-basis",
          "polygon-genus-1", "fuchsian-gen-genus-1", "infinite-point", "infinite-basis",
-         "negative-max-iter", "nan-tol"],
+         "infinite-det", "negative-max-iter", "nan-tol"],
 )
 def test_bad_input_exits_64_with_one_error_line(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -23,6 +23,25 @@ def test_degenerate_basis_rejected():
         LatticeGroup((1.0, 2.0), (2.0, 4.0))
 
 
+@pytest.mark.parametrize("scale", [1e-7, 1.0, 1e7])
+def test_dependence_is_judged_by_angle_not_size(scale):
+    # |det| is measured against |a| |b|: the sine of the angle between them
+    L = LatticeGroup((scale, 0.0), (0.0, scale))
+    q, (n, m) = reduce_point(L, (3.5 * scale, 0.0))
+    assert (n, m) == (3, 0)
+    assert abs(q[0] - 0.5 * scale) < 1e-12 * scale and q[1] == 0.0
+    for a, b in (((scale, 2.0 * scale), (2.0 * scale, 4.0 * scale)),
+                 ((scale, 0.0), (scale, 1e-13 * scale))):
+        with pytest.raises(ValueError, match="dependent"):
+            LatticeGroup(a, b)
+
+
+def test_basis_with_non_finite_determinant_rejected():
+    # finite vectors whose det overflows cannot give basis coordinates
+    with pytest.raises(ValueError, match="determinant is not finite"):
+        LatticeGroup((1e200, 0.0), (0.0, 1e200))
+
+
 @pytest.mark.parametrize("a", [(math.inf, 0.0), (math.nan, 1.0)])
 def test_non_finite_basis_rejected(a):
     with pytest.raises(ValueError, match="not finite"):

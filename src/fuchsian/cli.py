@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
 
 from . import polygons, repfile, tiling
 from .euclidean import LatticeGroup, reduce_point
@@ -213,7 +212,8 @@ def _cmd_polygon(args) -> int:
     lines = [f"genus {poly.genus}"]
     for v in poly.vertices:
         lines.append(f"v {v.x:.17g} {v.y:.17g}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    with open(args.out, "w") as f:
+        f.write("\n".join(lines) + "\n")
     angles = polygons.interior_angles(poly.vertices)
     print(f"out {args.out}")
     print(f"n {len(poly.vertices)}")
@@ -234,7 +234,8 @@ def _cmd_tile(args) -> int:
                          f"{words} words, above {MAX_TILES}")
     rep = polygons.side_pairings(poly)
     svg = tiling.render_tiling(poly, rep, args.depth)
-    Path(args.out).write_text(svg)
+    with open(args.out, "w") as f:
+        f.write(svg)
     print(f"out {args.out}")
     print(f"tiles {svg.count('<path')}")
     return EXIT_OK

@@ -38,7 +38,6 @@ import cmath
 import math
 import operator
 from collections import namedtuple
-from typing import NamedTuple
 
 # mobius_act is not called here; it stays importable because bench/tracer.py
 # wraps it under this name.
@@ -95,9 +94,7 @@ class CoverElement(namedtuple("CoverElement", "A n")):
         return cover_inv(self)
 
 
-class KernelValue(NamedTuple):
-    k: int
-    residual: float
+KernelValue = namedtuple("KernelValue", "k residual")
 
 
 # Kernels on (entries, n) pairs, entries an (a, b, c, d) tuple and n the
@@ -154,7 +151,7 @@ def cover_inv(e: CoverElement) -> CoverElement:
     return CoverElement(_mat(m), n)
 
 
-def kernel_value(e: CoverElement, tol: float = KERNEL_TOL) -> KernelValue:
+def kernel_value(e: CoverElement) -> KernelValue:
     """Integer k with phi(i) = 2*pi*i*k for an element over the identity.
 
     k is the winding n, returned together with the distance |Log j(A, i)|
@@ -162,6 +159,6 @@ def kernel_value(e: CoverElement, tol: float = KERNEL_TOL) -> KernelValue:
     sits in the kernel.
     """
     dist = frobenius_distance(e.A, Mat2.identity())
-    if dist > tol:
-        raise NotInKernel(f"matrix part is {dist:.3e} from I (tol {tol:.1e})")
+    if dist > KERNEL_TOL:
+        raise NotInKernel(f"matrix part is {dist:.3e} from I (tol {KERNEL_TOL:.1e})")
     return KernelValue(e.n, abs(cmath.log(j_cocycle(e.A, _I))))

@@ -8,33 +8,47 @@ non-compact case is not modeled here.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 Vec2 = tuple[float, float]
 
 
-@dataclass(frozen=True)
-class LatticeGroup:
-    """Translations n*a + m*b for integer n, m; a, b, det finite, sine of their angle > 1e-12."""
+def _cross(u: Vec2, v: Vec2) -> float:
+    return u[0] * v[1] - u[1] * v[0]
 
-    a: Vec2
-    b: Vec2
 
-    def __post_init__(self):
-        det = self._det()
-        if not all(map(math.isfinite, (*self.a, *self.b, det))):
-            raise ValueError(f"basis {self.a}, {self.b} or its determinant is not finite")
-        if not abs(det) > 1e-12 * math.hypot(*self.a) * math.hypot(*self.b):
-            raise ValueError(f"basis {self.a}, {self.b} is (nearly) dependent")
+def _scaled(v: Vec2) -> Vec2:
+    """v times the power of two that brings its largest entry into [0.25, 0.5); exact."""
+    e = math.frexp(max(abs(v[0]), abs(v[1])))[1] + 1
+    return math.ldexp(v[0], -e), math.ldexp(v[1], -e)
 
-    def _det(self) -> float:
-        return self.a[0] * self.b[1] - self.a[1] * self.b[0]
+
+class LatticeGroup(namedtuple("LatticeGroup", "a b")):
+    """Translations n*a + m*b for integer n, m; a, b, det finite, sine of their angle > 1e-12.
+
+    The sine and basis_coords read a and b scaled by powers of two, which is
+    exact: a det that underflows, as for a = (1e-162, 0), b = (0, 1e-162),
+    refuses no basis, and elsewhere the bits are the unscaled formula's.
+    """
+
+    __slots__ = ()
+    __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
+
+    def __new__(cls, a: Vec2, b: Vec2) -> "LatticeGroup":
+        if not all(map(math.isfinite, (*a, *b, _cross(a, b)))):
+            raise ValueError(f"basis {a}, {b} or its determinant is not finite")
+        ua, ub = _scaled(a), _scaled(b)
+        if not abs(_cross(ua, ub)) > 1e-12 * math.hypot(*ua) * math.hypot(*ub):
+            raise ValueError(f"basis {a}, {b} is (nearly) dependent")
+        return tuple.__new__(cls, (a, b))
 
     def basis_coords(self, p: Vec2) -> Vec2:
-        det = self._det()
-        s = (p[0] * self.b[1] - p[1] * self.b[0]) / det
-        t = (self.a[0] * p[1] - self.a[1] * p[0]) / det
-        return (s, t)
+        """(s, t) with p = s*a + t*b, by Cramer's rule with the other vector
+        scaled in each ratio: s = cross(p, b')/cross(a, b') for b' = b 2^-k,
+        which cannot overflow, and t likewise with a'."""
+        a, b = self
+        ua, ub = _scaled(a), _scaled(b)
+        return _cross(p, ub) / _cross(a, ub), _cross(ua, p) / _cross(ua, b)
 
 
 def reduce_point(L: LatticeGroup, p: Vec2) -> tuple[Vec2, tuple[int, int]]:

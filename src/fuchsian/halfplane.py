@@ -9,12 +9,13 @@ and its j-cocycle j(A, z) = cz + d, trace classification, and the metric
 
 A matrix is its entry 4-tuple (a, b, c, d) and a point its pair (x, y):
 Mat2 and HPoint are named tuples whose constructors run the checks
-_check_mat and _check_point, so the private kernels _mul, _inv, _act and
-_dist take them as they are, and take plain tuples alike.  _mul is the plain
-product: Mat2 @, cover.cover_mul and the relation word in reps check theirs
-once, through _renorm.  _act checks the point it returns, and the adjugate
-_inv returns keeps its input's det bit for bit, and so its check; so the
-public operations wrap a kernel with _mat or _point, which skip the check.
+_check_mat and _check_point, so each operation is one function that takes
+them as they are, and takes plain tuples alike.  The private kernels _mul
+and _inv return plain tuples.  _mul is the plain product: Mat2 @,
+cover.cover_mul and the relation word in reps check theirs once, through
+_renorm.  The adjugate _inv returns keeps its input's det bit for bit, and
+so its check, so Mat2.inv wraps it with _mat, which skips the check;
+mobius_act checks the point it returns and wraps it with _point.
 
 All types are immutable values and all functions are pure, so everything in
 here can be shared or sent across threads freely.
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from math import isfinite
@@ -84,10 +84,6 @@ def _inv(m: tuple) -> tuple:
     return d, -b, -c, a
 
 
-def _j(c: float, d: float, x: float, y: float) -> complex:
-    return complex(c * x + d, c * y)
-
-
 def _check_point(p: tuple) -> tuple:
     """The HPoint invariant on an (x, y) pair: finite, y > 0."""
     x, y = p
@@ -96,21 +92,6 @@ def _check_point(p: tuple) -> tuple:
     if not y > 0.0:
         raise ValueError(f"imaginary part {y!r} must be positive")
     return p
-
-
-def _act(m: tuple, x: float, y: float) -> tuple:
-    """Checked Mobius action of an entry 4-tuple on the point x + iy.
-
-    The imaginary part is computed from Im(Az) = Im(z)/|cz+d|^2, which keeps
-    it strictly positive instead of trusting a complex quotient near the axis.
-    """
-    a, b, c, d = m
-    den = _j(c, d, x, y)
-    den2 = den.real * den.real + den.imag * den.imag
-    if den2 < DEN_TOL * DEN_TOL:
-        raise DegenerateDenominator(f"|cz+d| = {math.sqrt(den2):.3e} at z = {complex(x, y)}")
-    w = complex(a * x + b, a * y) / den
-    return _check_point((w.real, y / den2))
 
 
 class Mat2(namedtuple("Mat2", "a b c d")):
@@ -149,20 +130,17 @@ class Mat2(namedtuple("Mat2", "a b c d")):
 _mat = partial(tuple.__new__, Mat2)
 
 
-def _frobenius(m: tuple, n: tuple) -> float:
+def frobenius_distance(A: tuple, B: tuple) -> float:
+    """Frobenius distance of two entry 4-tuples."""
     # ** raises OverflowError for a difference past about 1.3e154; x * x
     # would give inf, but differs from libm's pow in the last bit for about
     # one square in 1200, which would move reported residuals
     try:
         return math.sqrt(
-            (m[0] - n[0]) ** 2 + (m[1] - n[1]) ** 2 + (m[2] - n[2]) ** 2 + (m[3] - n[3]) ** 2
+            (A[0] - B[0]) ** 2 + (A[1] - B[1]) ** 2 + (A[2] - B[2]) ** 2 + (A[3] - B[3]) ** 2
         )
     except OverflowError:
         return math.inf
-
-
-def frobenius_distance(A: Mat2, B: Mat2) -> float:
-    return _frobenius(A, B)
 
 
 class HPoint(namedtuple("HPoint", "x y")):
@@ -194,59 +172,73 @@ class IsometryClass(Enum):
     HYPERBOLIC = "hyperbolic"
 
 
-@dataclass(frozen=True)
-class Classification:
-    """classify() plus the data needed to judge it near the parabolic boundary."""
+class Classification(namedtuple("Classification", "kind trace margin confident")):
+    """classify() plus the data needed to judge it near the parabolic boundary:
+    the IsometryClass, the trace, the margin | |trace| - 2 | and whether that
+    margin is comfortably outside the parabolic band."""
 
-    kind: IsometryClass
-    trace: float
-    margin: float    # | |trace| - 2 |
-    confident: bool  # margin comfortably outside the parabolic band
-
-
-def classify(A: Mat2, tol: float = TRACE_TOL) -> IsometryClass:
-    return classify_detailed(A, tol).kind
+    __slots__ = ()
+    __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
 
-def classify_detailed(A: Mat2, tol: float = TRACE_TOL) -> Classification:
+def classify(A: Mat2) -> IsometryClass:
+    return classify_detailed(A).kind
+
+
+def classify_detailed(A: Mat2) -> Classification:
     """Trace trichotomy: |tr| < 2 elliptic, = 2 parabolic, > 2 hyperbolic.
 
     +-I are split off first (they act trivially).  The trichotomy is
-    ill-posed at |tr| = 2, so calls landing within 100*tol of the boundary
-    are flagged not confident.
+    ill-posed at |tr| = 2, so calls landing within 100*TRACE_TOL of the
+    boundary are flagged not confident.
     """
     tr = A.trace
     margin = abs(abs(tr) - 2.0)
     near_plus = frobenius_distance(A, Mat2.identity())
     near_minus = frobenius_distance(A, -Mat2.identity())
-    if min(near_plus, near_minus) <= tol:
+    if min(near_plus, near_minus) <= TRACE_TOL:
         kind = IsometryClass.IDENTITY
-    elif margin <= tol:
+    elif margin <= TRACE_TOL:
         kind = IsometryClass.PARABOLIC
     elif abs(tr) < 2.0:
         kind = IsometryClass.ELLIPTIC
     else:
         kind = IsometryClass.HYPERBOLIC
-    confident = kind is IsometryClass.IDENTITY or margin > 100.0 * tol
+    confident = kind is IsometryClass.IDENTITY or margin > 100.0 * TRACE_TOL
     return Classification(kind, tr, margin, confident)
 
 
-def j_cocycle(A: Mat2, z: HPoint) -> complex:
+def j_cocycle(A: tuple, z: tuple) -> complex:
     """Denominator cocycle j(A, z) = cz + d; never 0 on the half-plane."""
-    return _j(A.c, A.d, z.x, z.y)
+    c, d = A[2], A[3]
+    x, y = z
+    return complex(c * x + d, c * y)
 
 
-def mobius_act(A: Mat2, z: HPoint) -> HPoint:
-    """Apply z -> (az + b)/(cz + d); see _act for the imaginary part."""
-    return _point(_act(A, z.x, z.y))
+def mobius_act(A: tuple, z: tuple) -> HPoint:
+    """Apply z -> (az + b)/(cz + d), checked; DegenerateDenominator when
+    |cz + d| is below DEN_TOL.
+
+    The imaginary part is computed from Im(Az) = Im(z)/|cz+d|^2, which keeps
+    it strictly positive instead of trusting a complex quotient near the axis.
+    """
+    a, b, c, d = A
+    x, y = z
+    den = complex(c * x + d, c * y)  # j(A, z)
+    den2 = den.real * den.real + den.imag * den.imag
+    if den2 < DEN_TOL * DEN_TOL:
+        raise DegenerateDenominator(f"|cz+d| = {math.sqrt(den2):.3e} at z = {complex(x, y)}")
+    w = complex(a * x + b, a * y) / den
+    return _point(_check_point((w.real, y / den2)))
 
 
-def _dist(z: tuple, w: tuple) -> float:
+def hyp_distance(z: tuple, w: tuple) -> float:
     """Hyperbolic distance arccosh(1 + |z-w|^2 / (2 Im z Im w)) of two (x, y) pairs.
 
     Written as log1p(u + sqrt(u(u+2))) to avoid cancellation for z near w.
-    _dist(z, w) and _dist(w, z) agree bit for bit: the differences only
-    change sign, and 2.0 * y is exact, so both orders round the same product.
+    hyp_distance(z, w) and hyp_distance(w, z) agree bit for bit: the
+    differences only change sign, and 2.0 * y is exact, so both orders round
+    the same product.
     """
     zx, zy = z
     wx, wy = w
@@ -254,11 +246,6 @@ def _dist(z: tuple, w: tuple) -> float:
     dy = zy - wy
     u = (dx * dx + dy * dy) / (2.0 * zy * wy)
     return math.log1p(u + math.sqrt(u * (u + 2.0)))
-
-
-def hyp_distance(z: HPoint, w: HPoint) -> float:
-    """Hyperbolic distance between two points; see _dist."""
-    return _dist(z, w)
 
 
 def rotation(theta: float) -> Mat2:

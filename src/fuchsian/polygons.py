@@ -13,27 +13,17 @@ alpha has cosh R = cot(alpha/2) cot(pi/n), which for n = 4g and
 alpha = 2*pi/n is cot^2(pi/(4g)) (Beardon, The Geometry of Discrete Groups,
 GTM 91).  The vertices sit at disk radius tanh(R/2).
 
-The construction runs on halfplane's checked tuple kernels, which take the
-HPoint vertices as the (x, y) pairs they are; each generator is formed as an
-entry 4-tuple, checked once by _renorm and wrapped as a Mat2 unchecked.
+The construction runs on halfplane's operations, which take the HPoint
+vertices as the (x, y) pairs they are; each generator is formed as an entry
+4-tuple, checked once by _renorm and wrapped as a Mat2 unchecked.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-# mobius_act is not called here; it stays importable because bench/tracer.py
-# wraps it under this name.
-from .halfplane import (  # noqa: F401
-    HPoint,
-    Mat2,
-    _act,
-    _dist,
-    _mat,
-    _renorm,
-    mobius_act,
-)
+from .halfplane import HPoint, Mat2, _mat, _renorm, hyp_distance, mobius_act
 from .reps import Representation
 
 ANGLE_TOL = 1e-8    # polygon validity: equal angles, sum 2*pi
@@ -52,31 +42,28 @@ def _from_disk(w: complex) -> complex:
     return 1j * (1.0 + w) / (1.0 - w)
 
 
-@dataclass(frozen=True)
-class HyperbolicPolygon:
+class HyperbolicPolygon(namedtuple("HyperbolicPolygon", "vertices genus")):
     """Cyclic vertex list of a regular-candidate 4g-gon, counterclockwise.
 
     Construction checks the defining angle conditions: all interior angles
     agree within ANGLE_TOL and they add up to 2*pi within ANGLE_TOL.
     """
 
-    vertices: tuple[HPoint, ...]
-    genus: int
+    __slots__ = ()
+    __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        if self.genus < 2:
-            raise GenusTooSmall(f"genus must be >= 2, got {self.genus}")
-        if len(self.vertices) != 4 * self.genus:
-            raise ValueError(
-                f"genus {self.genus} needs {4 * self.genus} vertices, "
-                f"got {len(self.vertices)}"
-            )
-        angles = interior_angles(self.vertices)
+    def __new__(cls, vertices, genus: int) -> "HyperbolicPolygon":
+        vertices = tuple(vertices)
+        if genus < 2:
+            raise GenusTooSmall(f"genus must be >= 2, got {genus}")
+        if len(vertices) != 4 * genus:
+            raise ValueError(f"genus {genus} needs {4 * genus} vertices, got {len(vertices)}")
+        angles = interior_angles(vertices)
         if max(angles) - min(angles) > ANGLE_TOL:
             raise ValueError("interior angles are not all equal")
         if abs(sum(angles) - 2.0 * math.pi) > ANGLE_TOL:
             raise ValueError(f"interior angles sum to {sum(angles)!r}, not 2*pi")
+        return tuple.__new__(cls, (vertices, genus))
 
 
 def interior_angles(vertices) -> list[float]:
@@ -85,21 +72,21 @@ def interior_angles(vertices) -> list[float]:
     The angle at vertex k comes from the law of cosines in the geodesic
     triangle of vertex k and its two neighbours.  Side k runs from vertex k
     to vertex k + 1; its length enters the angles at both ends, so it is
-    computed once (_dist is symmetric bit for bit).  ValueError when two
+    computed once (hyp_distance is symmetric bit for bit).  ValueError when two
     consecutive vertices coincide, which leaves a side of length zero.
     """
     pts = tuple(vertices)
     n = len(pts)
     cosh_side, sinh_side = [], []
     for k in range(n):
-        d = _dist(pts[k], pts[(k + 1) % n])
+        d = hyp_distance(pts[k], pts[(k + 1) % n])
         if d == 0.0:
             raise ValueError(f"side {k}, from vertex {k} to vertex {(k + 1) % n}, has length zero")
         cosh_side.append(math.cosh(d))
         sinh_side.append(math.sinh(d))
     angles = []
     for k in range(n):
-        num = cosh_side[k - 1] * cosh_side[k] - math.cosh(_dist(pts[k - 1], pts[(k + 1) % n]))
+        num = cosh_side[k - 1] * cosh_side[k] - math.cosh(hyp_distance(pts[k - 1], pts[(k + 1) % n]))
         den = sinh_side[k - 1] * sinh_side[k]
         angles.append(math.acos(max(-1.0, min(1.0, num / den))))
     return angles
@@ -199,8 +186,8 @@ def side_pairings(p: HyperbolicPolygon) -> Representation:
 
 def _certify(m: tuple, p1: tuple, p2: tuple, q1: tuple, q2: tuple) -> None:
     err = max(
-        _dist(_act(m, *p1), q1),
-        _dist(_act(m, *p2), q2),
+        hyp_distance(mobius_act(m, p1), q1),
+        hyp_distance(mobius_act(m, p2), q2),
     )
     if err > PAIRING_TOL:
         raise PairingFailed(

@@ -13,8 +13,6 @@ with '#' are ignored on read.
 """
 from __future__ import annotations
 
-from pathlib import Path
-
 from .halfplane import Mat2
 from .reps import Representation
 
@@ -62,10 +60,12 @@ def parse_rep(text: str) -> tuple[Representation, list[str]]:
     return Representation(genus, tuple(mats_a), tuple(mats_b)), meta
 
 
-def write_rep_file(path: "str | Path", r: Representation, meta: "list[str] | None" = None) -> None:
-    Path(path).write_text(format_rep(r, meta))
+def write_rep_file(path, r: Representation, meta: "list[str] | None" = None) -> None:
+    with open(path, "w") as f:
+        f.write(format_rep(r, meta))
 
 
-def read_rep_file(path: "str | Path") -> Representation:
-    rep, _ = parse_rep(Path(path).read_text())
+def read_rep_file(path) -> Representation:
+    with open(path) as f:
+        rep, _ = parse_rep(f.read())
     return rep

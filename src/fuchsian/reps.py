@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from math import pi
@@ -33,7 +34,7 @@ from math import pi
 # lift, cover_mul and cover_inv stay importable here: bench/tracer.py wraps
 # them under these names.
 from .cover import NonIntegral, _cinv, _cmul, _cocycle, _phi, cover_inv, cover_mul, lift  # noqa: F401
-from .halfplane import Mat2, _frobenius, _inv, _mat, _mul, _renorm
+from .halfplane import Mat2, _inv, _mat, _mul, _renorm, frobenius_distance
 
 _EYE = (1.0, 0.0, 0.0, 1.0)
 _MINUS_EYE = (-1.0, -0.0, -0.0, -1.0)
@@ -51,9 +52,8 @@ class RelationViolated(ValueError):
     """The generators do not satisfy the surface-group relation."""
 
 
-@dataclass(frozen=True)
-class Representation:
-    """Genus plus the 2g generator images.
+class Representation(namedtuple("Representation", "genus gens_a gens_b")):
+    """Genus plus the 2g generator images, as tuples of Mat2.
 
     Construction does not enforce the relation, so solver iterates and other
     unvalidated candidates can be carried around; anything consuming the
@@ -62,26 +62,29 @@ class Representation:
     distances to +-I, the integer winding of its principal lift and the
     ToledoResult read off them are evaluated on first use and kept on the
     instance, not keyed by value: equal instances each compute theirs.
+    No __slots__, so each instance has the __dict__ that keeps them;
+    cached_property writes there directly, and nothing else can set an
+    attribute.
     """
 
-    genus: int
-    gens_a: tuple[Mat2, ...]
-    gens_b: tuple[Mat2, ...]
+    __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
-    def __post_init__(self):
-        if self.genus < 1:
-            raise ValueError(f"genus must be >= 1, got {self.genus}")
-        object.__setattr__(self, "gens_a", tuple(self.gens_a))
-        object.__setattr__(self, "gens_b", tuple(self.gens_b))
-        if len(self.gens_a) != self.genus or len(self.gens_b) != self.genus:
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a Representation is immutable")
+
+    def __new__(cls, genus: int, gens_a, gens_b) -> "Representation":
+        if genus < 1:
+            raise ValueError(f"genus must be >= 1, got {genus}")
+        gens_a, gens_b = tuple(gens_a), tuple(gens_b)
+        if len(gens_a) != genus or len(gens_b) != genus:
             raise ValueError(
-                f"need {self.genus} generators per family, got "
-                f"{len(self.gens_a)} and {len(self.gens_b)}"
+                f"need {genus} generators per family, got {len(gens_a)} and {len(gens_b)}"
             )
-        for M in (*self.gens_a, *self.gens_b):
+        for M in (*gens_a, *gens_b):
             if not isinstance(M, Mat2):
                 # a plain tuple would reach the kernels unchecked
                 raise TypeError(f"generators must be Mat2, got {type(M).__name__}")
+        return tuple.__new__(cls, (genus, gens_a, gens_b))
 
     @classmethod
     def trivial(cls, genus: int) -> "Representation":
@@ -126,7 +129,7 @@ def _word(pairs) -> tuple:
 
 
 def _distance_to_pm_eye(m: tuple) -> tuple[float, float]:
-    return _frobenius(m, _EYE), _frobenius(m, _MINUS_EYE)
+    return frobenius_distance(m, _EYE), frobenius_distance(m, _MINUS_EYE)
 
 
 def relation_product(r: Representation) -> Mat2:
@@ -260,10 +263,8 @@ def reflect_conjugate(r: Representation) -> Representation:
     )
 
 
-def branch_independence_check(
-    r: Representation, seed: int, trials: int = 20, span: int = 3
-) -> bool:
-    """Ask for the invariant under random branch choices in [-span, span].
+def branch_independence_check(r: Representation, seed: int, trials: int = 20) -> bool:
+    """Ask for the invariant under random branch choices in [-3, 3].
 
     Each trial lifts A_1, B_1, ..., A_g, B_g on branches of its own, winds
     the relation word through the cover kernels and rounds as toledo does.
@@ -276,8 +277,8 @@ def branch_independence_check(
     for _ in range(trials):
         total = (_EYE, 0)
         for A, B in zip(r.gens_a, r.gens_b):
-            a = (A, rng.randint(-span, span))
-            b = (B, rng.randint(-span, span))
+            a = (A, rng.randint(-3, 3))
+            b = (B, rng.randint(-3, 3))
             for letter in (a, b, _cinv(a), _cinv(b)):
                 total = _cmul(total, letter)
         if _lattice_point(total, _distance_to_pm_eye(total[0])).value != base:

@@ -305,7 +305,7 @@ def refine(
         gap, cols = relation_jacobian(rows, word)
         gram = _gram(cols)
         accepted = False
-        for _ in range(60):
+        while lam <= 1e14:
             delta = _damped_step(gram, cols, gap, lam)
             if delta is not None:
                 cand = [
@@ -323,8 +323,6 @@ def refine(
                     break
             rejected_steps += 1
             lam *= 10.0
-            if lam > 1e14:
-                break
         if not accepted:
             stop = "stalled"
             break

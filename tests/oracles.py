@@ -39,12 +39,11 @@ from fuchsian.halfplane import (
     DegenerateDenominator,
     HPoint,
     Mat2,
-    _act,
-    _frobenius,
     _inv,
-    _j,
     _mul,
+    frobenius_distance,
     hyp_distance,
+    j_cocycle,
     mobius_act,
     rotation,
 )
@@ -388,36 +387,36 @@ def polygon_area_numeric(p, subdiv: int = 2000) -> float:
 
 
 def _check_phi(m: tuple, phi: complex) -> None:
-    j = _j(m[2], m[3], 0.0, 1.0)
+    j = j_cocycle(m, (0.0, 1.0))
     if abs(cmath.exp(phi) - j) > EXP_TOL * max(1.0, abs(j)):
         raise ValueError(f"phi(i) = {phi} is not a logarithm of j(A, i) = {j}")
 
 
 def _rebased(m: tuple, phi: complex) -> tuple:
     # reset the real part to log|j(A, i)|; the imaginary part is the payload
-    phi = complex(math.log(abs(_j(m[2], m[3], 0.0, 1.0))), phi.imag)
+    phi = complex(math.log(abs(j_cocycle(m, (0.0, 1.0)))), phi.imag)
     _check_phi(m, phi)
     return m, phi
 
 
 def _phi_at(m: tuple, phi: complex, x: float, y: float) -> complex:
-    return phi + cmath.log(_j(m[2], m[3], x, y) / _j(m[2], m[3], 0.0, 1.0))
+    return phi + cmath.log(j_cocycle(m, (x, y)) / j_cocycle(m, (0.0, 1.0)))
 
 
 def _transport_lift(M, k: int) -> tuple:
-    return M, cmath.log(_j(M.c, M.d, 0.0, 1.0)) + complex(0.0, 2.0 * math.pi * k)
+    return M, cmath.log(j_cocycle(M, (0.0, 1.0))) + complex(0.0, 2.0 * math.pi * k)
 
 
 def _transport_mul(e1: tuple, e2: tuple) -> tuple:
     (m1, phi1), (m2, phi2) = e1, e2
-    x, y = _act(m2, 0.0, 1.0)
+    x, y = mobius_act(m2, (0.0, 1.0))
     return _rebased(_mul(m1, m2), _phi_at(m1, phi1, x, y) + phi2)
 
 
 def _transport_inv(e: tuple) -> tuple:
     m, phi = e
     m_inv = _inv(m)
-    x, y = _act(m_inv, 0.0, 1.0)
+    x, y = mobius_act(m_inv, (0.0, 1.0))
     return _rebased(m_inv, -_phi_at(m, phi, x, y))
 
 
@@ -430,8 +429,8 @@ def atan2_cocycle(m1: tuple, m2: tuple, m: tuple) -> float:
     the cocycle identity j(m1, m2.i) = j(m, i) / j(m2, i) instead.
     """
     try:
-        x, y = _act(m2, 0.0, 1.0)
-        j1 = _j(m1[2], m1[3], x, y)
+        x, y = mobius_act(m2, (0.0, 1.0))
+        j1 = j_cocycle(m1, (x, y))
     except DegenerateDenominator:
         j1 = complex(m[3], m[2]) / complex(m2[3], m2[2])
     increment = cmath.phase(j1 / complex(m1[3], m1[2]))
@@ -477,8 +476,8 @@ def per_branch_toledo(r, branches=None) -> ToledoResult:
         for letter in (ta, tb, _cinv(ta), _cinv(tb)):
             total = _cmul(total, letter)
     m, phi = total[0], _phi(total)
-    dist_plus = _frobenius(m, (1.0, 0.0, 0.0, 1.0))
-    dist_minus = _frobenius(m, (-1.0, -0.0, -0.0, -1.0))
+    dist_plus = frobenius_distance(m, (1.0, 0.0, 0.0, 1.0))
+    dist_minus = frobenius_distance(m, (-1.0, -0.0, -0.0, -1.0))
     psl_only = dist_minus < dist_plus
     raw = phi.imag / math.pi
     value = round(raw) if psl_only else 2 * round(raw / 2.0)

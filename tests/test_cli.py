@@ -410,6 +410,13 @@ def test_euclid_reduce_small_basis(capsys):
     assert (out["n"], out["m"]) == ("3", "0")
 
 
+def test_euclid_reduce_basis_whose_det_underflows(capsys):
+    # det 1e-162 * 1e-162 rounds to 0.0, yet the basis is orthogonal
+    assert run(["euclid-reduce", "--a", "1e-162,0", "--b", "0,1e-162", "--p", "3.5e-162,0"]) == 0
+    out = kv(capsys.readouterr().out)
+    assert (out["n"], out["m"]) == ("3", "0")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -503,3 +510,13 @@ def test_commands_leave_numpy_unloaded(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "numpy_loaded False", argv
+
+
+def test_cli_import_leaves_typing_and_pathlib_unloaded():
+    # -S: on some hosts site itself loads both
+    src = str(Path(fuchsian.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys\nimport fuchsian.cli\nprint(sorted({'typing', 'pathlib'} & set(sys.modules)))\n"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

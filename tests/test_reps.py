@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given
 
 from conftest import sl2_matrices
 from fuchsian.cover import _cmul, _phi, cover_inv, lift
-from fuchsian.halfplane import Mat2, _mul, rotation, scaling
+from fuchsian.euclidean import LatticeGroup
+from fuchsian.halfplane import Mat2, _mul, classify_detailed, rotation, scaling
 from fuchsian.polygons import regular_polygon, side_pairings
 from fuchsian.repfile import format_rep, parse_rep, read_rep_file, write_rep_file
 from fuchsian.reps import (
@@ -484,3 +486,44 @@ class TestRepFile:
     def test_malformed_rejected(self, text):
         with pytest.raises(ValueError):
             parse_rep(text)
+
+
+class TestRecords:
+    """Representation, HyperbolicPolygon, LatticeGroup and Classification are
+    checked named tuples, as Mat2 is."""
+
+    REP = Representation(1, (scaling(2.0),), (rotation(0.3),))
+    POLY = regular_polygon(2)
+    LAT = LatticeGroup((1.0, 0.0), (0.5, 2.0))
+    CLS = classify_detailed(scaling(2.0))
+
+    @pytest.mark.parametrize("value, field", [
+        (REP, "genus"), (REP, "gens_a"), (POLY, "vertices"), (POLY, "genus"), (LAT, "a"), (CLS, "kind"),
+    ])
+    def test_fields_are_read_only(self, value, field):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            value.extra = 1.0
+
+    @pytest.mark.parametrize("value", [REP, POLY, LAT, CLS])
+    def test_no_tuple_arithmetic(self, value):
+        for op in (lambda: value + value, lambda: 2 * value, lambda: value * 2):
+            with pytest.raises(TypeError):
+                op()
+
+    @pytest.mark.parametrize("value", [REP, POLY, LAT, CLS])
+    def test_equal_to_the_plain_tuple_and_pickled_twin(self, value):
+        assert value == tuple(value) and hash(value) == hash(tuple(value))
+        twin = pickle.loads(pickle.dumps(value))
+        assert twin == value and type(twin) is type(value) and repr(twin) == repr(value)
+
+    def test_representation_keeps_its_word_once_per_instance(self):
+        r = Representation(*self.REP)
+        assert "_relation" not in r.__dict__
+        word = r._relation
+        assert r._relation is word and r.__dict__["_relation"] is word
+        twin = Representation(*self.REP)
+        assert twin == r and twin._relation is not word and twin._relation == word
+        # the kept word travels with a pickle
+        assert pickle.loads(pickle.dumps(r)).__dict__ == {"_relation": word}

@@ -2,8 +2,8 @@
 """Walk the whole pipeline for one genus and print every number along the way.
 
 Builds the regular 4g-gon, reads off its side pairings, and verifies the
-relation, the maximal Toledo invariant, the reflection sign flip, branch
-independence, and the dimension counts at the resulting point.
+relation, the maximal Toledo invariant, the reflection sign flip and the
+dimension counts at the resulting point.
 """
 import argparse
 import math
@@ -11,13 +11,7 @@ import math
 from fuchsian.cli import MAX_GENUS
 from fuchsian.halfplane import HPoint, classify, hyp_distance
 from fuchsian.polygons import interior_angles, polygon_area, regular_polygon, side_pairings
-from fuchsian.reps import (
-    branch_independence_check,
-    jacobian_rank,
-    reflect_conjugate,
-    relation_residual,
-    toledo,
-)
+from fuchsian.reps import jacobian_rank, reflect_conjugate, relation_residual, toledo
 
 
 def main():
@@ -46,7 +40,6 @@ def main():
     print(f"toledo invariant: {t.value}  (raw {t.raw:.15f}, residual {t.residual:.2e})")
     print(f"  maximal (|tau| = 2g-2 = {2 * g - 2}): {abs(t.value) == 2 * g - 2}")
     print(f"  reflected copy: {toledo(reflect_conjugate(rep)).value}")
-    print(f"  branch independent (20 draws): {branch_independence_check(rep, seed=0)}")
 
     rank = jacobian_rank(rep)
     print(f"relation jacobian rank: {rank} -> variety dim {6 * g - rank}, moduli dim {6 * g - rank - 3}")

@@ -32,7 +32,6 @@ from .reps import (
     RelationViolated,
     Representation,
     ToledoResult,
-    branch_independence_check,
     goldman_fuchsian_test,
     reflect_conjugate,
     relation_product,

@@ -76,6 +76,7 @@ class CoverElement(namedtuple("CoverElement", "A n")):
 
     __slots__ = ()
     __add__ = __rmul__ = None  # * is the group law, not tuple repetition
+    _make = _replace = None  # each would build a value without the checks
 
     def __new__(cls, A: Mat2, n: int) -> "CoverElement":
         if not isinstance(A, Mat2):
@@ -97,8 +98,9 @@ class CoverElement(namedtuple("CoverElement", "A n")):
 KernelValue = namedtuple("KernelValue", "k residual")
 
 
-# Kernels on (entries, n) pairs, entries an (a, b, c, d) tuple and n the
-# integer winding: a CoverElement is one.  _cmul's product is unchecked.
+# Kernels on plain tuples: _h and _cocycle read entries (a, b, c, d), as a
+# Mat2 is, and _phi an (entries, n) pair, n the integer winding, as a
+# CoverElement is.
 
 def _h(m: tuple) -> int:
     """h(A): Arg j(A, i) = Arg(d + ci) in quarter turns, a signed zero read as by math.atan2."""
@@ -114,16 +116,6 @@ def _cocycle(m1: tuple, m2: tuple, m: tuple) -> int:
     if s % 4 == 2:
         raise NonIntegral(f"Euler cocycle quarter turns sum to {s}: the c of {m!r} rounded to zero")
     return (s + 2) // 4
-
-
-def _cmul(e1: tuple, e2: tuple) -> tuple:
-    (m1, n1), (m2, n2) = e1, e2
-    m = _mul(m1, m2)
-    return m, n1 + n2 + _cocycle(m1, m2, m)
-
-
-def _cinv(e: tuple) -> tuple:
-    return _inv(e[0]), -e[1]  # (A, n)(A^-1, -n) = (I, 0): c(A, A^-1, I) = 0
 
 
 def _phi(e: tuple) -> complex:
@@ -147,8 +139,8 @@ def cover_mul(e1: CoverElement, e2: CoverElement) -> CoverElement:
 
 
 def cover_inv(e: CoverElement) -> CoverElement:
-    m, n = _cinv(e)
-    return CoverElement(_mat(m), n)
+    A, n = e
+    return CoverElement(_mat(_inv(A)), -n)  # (A, n)(A^-1, -n) = (I, 0): c(A, A^-1, I) = 0
 
 
 def kernel_value(e: CoverElement) -> KernelValue:

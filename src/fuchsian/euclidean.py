@@ -33,6 +33,7 @@ class LatticeGroup(namedtuple("LatticeGroup", "a b")):
 
     __slots__ = ()
     __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
+    _make = _replace = None  # each would build a value without the checks
 
     def __new__(cls, a: Vec2, b: Vec2) -> "LatticeGroup":
         if not all(map(math.isfinite, (*a, *b, _cross(a, b)))):

@@ -99,6 +99,7 @@ class Mat2(namedtuple("Mat2", "a b c d")):
 
     __slots__ = ()
     __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
+    _make = _replace = None  # each would build a value without the checks
 
     def __new__(cls, a: float, b: float, c: float, d: float) -> "Mat2":
         return _mat(_check_mat((a, b, c, d)))
@@ -148,6 +149,7 @@ class HPoint(namedtuple("HPoint", "x y")):
 
     __slots__ = ()
     __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
+    _make = _replace = None  # each would build a value without the checks
 
     def __new__(cls, x: float, y: float) -> "HPoint":
         return _point(_check_point((x, y)))

@@ -51,6 +51,7 @@ class HyperbolicPolygon(namedtuple("HyperbolicPolygon", "vertices genus")):
 
     __slots__ = ()
     __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
+    _make = _replace = None  # each would build a value without the checks
 
     def __new__(cls, vertices, genus: int) -> "HyperbolicPolygon":
         vertices = tuple(vertices)

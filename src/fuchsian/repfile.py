@@ -39,6 +39,8 @@ def parse_rep(text: str) -> tuple[Representation, list[str]]:
             continue
         key, _, rest = line.partition(" ")
         if key == "genus":
+            if genus is not None:
+                raise ValueError(f"line {lineno}: repeated genus record")
             genus = int(rest)
         elif key in ("A", "B"):
             parts = rest.split()

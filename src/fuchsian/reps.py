@@ -10,7 +10,8 @@ central element: tau = Im phi(i) / pi, where phi(i) = Log j(P_4g, i) + 2 pi i n
 and the integer n sums the Euler cocycle carries c(P_{k-1}, L_k, P_k) of the
 word's products; the lift of an inverse letter, the inverse of a principal
 lift, is principal itself.  It does not depend on the branch chosen for any
-lift, because each lift appears in a commutator together with its inverse.
+lift, because each lift appears in a commutator together with its inverse, so
+the principal lift's word, wound once per Representation, is the only one read.
 The products are plain kernel products, and the word is checked once, at
 its end.
 
@@ -24,7 +25,6 @@ result carries a psl_only flag.
 from __future__ import annotations
 
 import math
-import random
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
@@ -33,7 +33,7 @@ from math import pi
 
 # lift, cover_mul and cover_inv stay importable here: bench/tracer.py wraps
 # them under these names.
-from .cover import NonIntegral, _cinv, _cmul, _cocycle, _phi, cover_inv, cover_mul, lift  # noqa: F401
+from .cover import NonIntegral, _cocycle, _phi, cover_inv, cover_mul, lift  # noqa: F401
 from .halfplane import Mat2, _inv, _mat, _mul, _renorm, frobenius_distance
 
 _EYE = (1.0, 0.0, 0.0, 1.0)
@@ -68,6 +68,7 @@ class Representation(namedtuple("Representation", "genus gens_a gens_b")):
     """
 
     __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
+    _make = _replace = None  # each would build a value without the checks
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot set {name!r}: a Representation is immutable")
@@ -109,12 +110,19 @@ class Representation(namedtuple("Representation", "genus gens_a gens_b")):
     @cached_property
     def _distances(self) -> tuple[float, float]:
         """Frobenius distances of the word to I and to -I; ValueError as _relation."""
-        return _distance_to_pm_eye(self._relation[1][-1])
+        m = self._relation[1][-1]
+        return frobenius_distance(m, _EYE), frobenius_distance(m, _MINUS_EYE)
 
     @cached_property
     def _toledo(self) -> "ToledoResult":
-        """The word's ToledoResult before toledo's checks; no refusal is kept."""
-        return _lattice_point((self._relation[1][-1], self._winding), self._distances)
+        """The word's ToledoResult before toledo's checks: Im phi(i) / pi of its
+        principal lift rounded to the lattice, odd over -I and even over I; no
+        refusal is kept."""
+        raw = _phi((self._relation[1][-1], self._winding)).imag / pi
+        dist_plus, dist_minus = self._distances
+        psl_only = dist_minus < dist_plus
+        value = int(round(raw) if psl_only else 2 * round(raw / 2.0))
+        return ToledoResult(value, raw, abs(raw - value), min(dist_plus, dist_minus), psl_only)
 
 
 def _word(pairs) -> tuple:
@@ -126,10 +134,6 @@ def _word(pairs) -> tuple:
             letters.append(L)
             partials.append(_mul(partials[-1], L))
     return letters, partials
-
-
-def _distance_to_pm_eye(m: tuple) -> tuple[float, float]:
-    return frobenius_distance(m, _EYE), frobenius_distance(m, _MINUS_EYE)
 
 
 def relation_product(r: Representation) -> Mat2:
@@ -235,15 +239,6 @@ def toledo(
     return result
 
 
-def _lattice_point(e: tuple, distances: tuple[float, float]) -> ToledoResult:
-    """ToledoResult of a cover element e = (m, n) over +-I, given m's distances to I and -I."""
-    dist_plus, dist_minus = distances
-    psl_only = dist_minus < dist_plus
-    raw = _phi(e).imag / pi
-    value = int(round(raw) if psl_only else 2 * round(raw / 2.0))  # odd over -I, even over +I
-    return ToledoResult(value, raw, abs(raw - value), min(distances), psl_only)
-
-
 def goldman_fuchsian_test(r: Representation) -> bool:
     """Fuchsian exactly when the invariant is maximal: |tau| = 2g - 2."""
     return abs(toledo(r).value) == 2 * r.genus - 2
@@ -261,26 +256,3 @@ def reflect_conjugate(r: Representation) -> Representation:
     return Representation(
         r.genus, tuple(refl(A) for A in r.gens_a), tuple(refl(B) for B in r.gens_b)
     )
-
-
-def branch_independence_check(r: Representation, seed: int, trials: int = 20) -> bool:
-    """Ask for the invariant under random branch choices in [-3, 3].
-
-    Each trial lifts A_1, B_1, ..., A_g, B_g on branches of its own, winds
-    the relation word through the cover kernels and rounds as toledo does.
-    True when every trial gives toledo's integer: a commutator of lifts on
-    branches k and l winds k + l - k - l = 0, so a trial that differs shows
-    a fault in the kernels, not in the data.
-    """
-    base = toledo(r).value
-    rng = random.Random(seed)
-    for _ in range(trials):
-        total = (_EYE, 0)
-        for A, B in zip(r.gens_a, r.gens_b):
-            a = (A, rng.randint(-3, 3))
-            b = (B, rng.randint(-3, 3))
-            for letter in (a, b, _cinv(a), _cinv(b)):
-                total = _cmul(total, letter)
-        if _lattice_point(total, _distance_to_pm_eye(total[0])).value != base:
-            return False
-    return True

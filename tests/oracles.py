@@ -14,8 +14,9 @@ which cover replaced by a test on the signs of c and d; the relation
 Jacobian by the product rule, six 2x2 sandwiches per generator, which
 solver replaced by closed-form columns through sl(2,R) read off the kept
 word; the Toledo invariant with
-every lift on its own branch, a cover-kernel loop over the word reps.toledo
-winds, which reps.toledo replaced by the principal lift's carries; the regular
+every lift on its own branch, a loop over the word reps.toledo winds on the
+pair kernels _cmul and _cinv kept here, which reps.toledo replaced by the
+principal lift's carries; the regular
 polygon built on HPoint objects, with three distances per interior angle,
 which polygons replaced by the tuple kernels and must match bit for bit;
 and its side pairings found by a two-point carrier on Mat2 objects (Mat2 @,
@@ -34,7 +35,7 @@ import math
 import numpy as np
 
 from fuchsian import solver
-from fuchsian.cover import _cinv, _cmul, _phi
+from fuchsian.cover import _cocycle, _phi
 from fuchsian.halfplane import (
     DegenerateDenominator,
     HPoint,
@@ -456,6 +457,18 @@ def transport_toledo_raw(r, branches=None) -> float:
         for letter in (ta, tb, _transport_inv(ta), _transport_inv(tb)):
             total = _transport_mul(total, letter)
     return total[1].imag / math.pi
+
+
+def _cmul(e1: tuple, e2: tuple) -> tuple:
+    """The cover product on (entries, n) pairs, the matrix product unchecked."""
+    (m1, n1), (m2, n2) = e1, e2
+    m = _mul(m1, m2)
+    return m, n1 + n2 + _cocycle(m1, m2, m)
+
+
+def _cinv(e: tuple) -> tuple:
+    """The cover inverse on an (entries, n) pair: (A, n)(A^-1, -n) = (I, 0)."""
+    return _inv(e[0]), -e[1]
 
 
 def per_branch_toledo(r, branches=None) -> ToledoResult:

@@ -7,6 +7,7 @@ whole file stays fast.
 """
 import cmath
 import math
+import random
 import time
 
 import numpy as np
@@ -23,12 +24,7 @@ from fuchsian.halfplane import (
     mobius_act,
 )
 from fuchsian.polygons import polygon_area, regular_polygon, side_pairings
-from fuchsian.reps import (
-    branch_independence_check,
-    reflect_conjugate,
-    relation_residual,
-    toledo,
-)
+from fuchsian.reps import reflect_conjugate, relation_residual, toledo
 from fuchsian.solver import (
     DidNotConverge,
     coords_from_rep,
@@ -38,7 +34,7 @@ from fuchsian.solver import (
     jacobian_rank,
     solve,
 )
-from oracles import area_toledo, commutator_check, geodesic_points, path_length
+from oracles import area_toledo, commutator_check, geodesic_points, path_length, per_branch_toledo
 from test_cover import phi_increment_quadrature
 
 I = HPoint(0.0, 1.0)
@@ -145,9 +141,13 @@ def test_c04_reflection_negates_invariant(sweep, polygon_reps):
 
 def test_c05_branch_independence(polygon_reps):
     for g in (2, 3, 4):
-        _, rep, _ = polygon_reps[g]
-        assert branch_independence_check(rep, seed=g, trials=20)
-    report("C05 branch independence", True, "20 assignments per polygon representation")
+        _, rep, t = polygon_reps[g]
+        rng = random.Random(g)
+        for _ in range(20):
+            branches = [rng.randint(-3, 3) for _ in range(2 * g)]
+            assert per_branch_toledo(rep, branches).value == t.value
+    report("C05 branch independence", True,
+           "20 per-branch lifts per polygon representation give toledo's integer")
 
 
 def test_c06_cover_arithmetic_soundness():

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import fuchsian
-from fuchsian import cli, reps
+from fuchsian import cli, cover, reps
 from fuchsian.cli import MAX_BRANCH_TRIALS, MAX_GENUS, MAX_TILES, run
 from fuchsian.halfplane import rotation, scaling, Mat2
+from fuchsian.polygons import regular_polygon, side_pairings
 from fuchsian.repfile import format_rep, parse_rep, read_rep_file, write_rep_file
 from fuchsian.reps import Representation, relation_residual, toledo
 from oracles import object_side_pairings
@@ -62,24 +63,22 @@ def test_toledo_command(tmp_path, capsys):
     assert out["branch_independent"] == "true"
 
 
-def test_toledo_branch_disagreement_exits_2(tmp_path, capsys, monkeypatch):
-    # one inverse lift off by one winding in the third of five trials
+def test_toledo_branches_wind_the_word_once(tmp_path, capsys, monkeypatch):
+    # toledo winds the 8-letter genus-2 word once; the branches add no product
     path = tmp_path / "rep.txt"
-    run(["fuchsian-gen", "--genus", "2", "--out", str(path)])
-    capsys.readouterr()
-    exact, calls = reps._cinv, []
+    write_rep_file(path, side_pairings(regular_polygon(2)))
+    calls = []
+    for module in (reps, cover):
+        inner = module._mul
 
-    def one_wrong_inverse(e):
-        m, n = exact(e)
-        calls.append(1)
-        return m, n + 1 if len(calls) == 10 else n
-
-    monkeypatch.setattr(reps, "_cinv", one_wrong_inverse)
-    assert run(["toledo", "--in", str(path), "--branches", "5", "--seed", "3"]) == 2
+        def counting(m1, m2, inner=inner):
+            calls.append(1)
+            return inner(m1, m2)
+        monkeypatch.setattr(module, "_mul", counting)
+    assert run(["toledo", "--in", str(path), "--branches", "1000", "--seed", "3"]) == 0
     out = kv(capsys.readouterr().out)
-    assert out["value"] in ("2", "-2")
-    assert out["branch_independent"] == "false"
-    assert len(calls) == 12  # the check stops at the trial that differs
+    assert out["value"] == "-2" and out["branch_independent"] == "true"
+    assert len(calls) == 8
 
 
 def test_toledo_on_trivial_rep(tmp_path, capsys):
@@ -446,6 +445,7 @@ def test_module_entry_point(tmp_path):
     "argv",
     [
         ["toledo", "--in", "bad.rep"],
+        ["toledo", "--in", "twice.rep"],
         ["check-relation", "--in", "missing.rep"],
         ["classify", "--matrix", "2,0,0,2"],
         ["euclid-reduce", "--a", "1,0", "--b", "2,0", "--p", "0,0"],
@@ -457,13 +457,14 @@ def test_module_entry_point(tmp_path):
         ["solve", "--genus", "2", "--max-iter", "-3", "--out", "rep.txt"],
         ["solve", "--genus", "2", "--tol", "nan", "--out", "rep.txt"],
     ],
-    ids=["malformed-file", "missing-file", "det-not-one", "dependent-basis",
+    ids=["malformed-file", "repeated-genus", "missing-file", "det-not-one", "dependent-basis",
          "polygon-genus-1", "fuchsian-gen-genus-1", "infinite-point", "infinite-basis",
          "infinite-det", "negative-max-iter", "nan-tol"],
 )
 def test_bad_input_exits_64_with_one_error_line(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.rep").write_text("genus 1\nA 1 0 0\nB 1 0 0 1\n")  # short A row
+    (tmp_path / "twice.rep").write_text("genus 5\nA 1 0 0 1\nB 1 0 0 1\ngenus 1\n")
     assert run(argv) == 64
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -14,8 +14,6 @@ from fuchsian.cover import (
     CoverElement,
     NonIntegral,
     NotInKernel,
-    _cinv,
-    _cmul,
     _cocycle,
     _h,
     _phi,
@@ -26,7 +24,7 @@ from fuchsian.cover import (
     phi_at,
 )
 from fuchsian.halfplane import HPoint, Mat2, _check_mat, _inv, _mul, j_cocycle, rotation
-from oracles import atan2_cocycle
+from oracles import _cinv, _cmul, atan2_cocycle
 
 TWO_PI = 2.0 * math.pi
 I = HPoint(0.0, 1.0)

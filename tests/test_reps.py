@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 import random
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given
 
 from conftest import sl2_matrices
-from fuchsian.cover import _cmul, _phi, cover_inv, lift
+from fuchsian.cover import _phi, cover_inv, lift
 from fuchsian.euclidean import LatticeGroup
-from fuchsian.halfplane import Mat2, _mul, classify_detailed, rotation, scaling
+from fuchsian.halfplane import HPoint, Mat2, _mul, classify_detailed, rotation, scaling
 from fuchsian.polygons import regular_polygon, side_pairings
 from fuchsian.repfile import format_rep, parse_rep, read_rep_file, write_rep_file
 from fuchsian.reps import (
@@ -16,7 +17,6 @@ from fuchsian.reps import (
     RelationViolated,
     Representation,
     ToledoResult,
-    branch_independence_check,
     goldman_fuchsian_test,
     reflect_conjugate,
     relation_product,
@@ -26,7 +26,7 @@ from fuchsian.reps import (
 import fuchsian
 from fuchsian import cover, halfplane, reps
 from fuchsian.solver import solve
-from oracles import bisection_rep, object_side_pairings, per_branch_toledo, transport_toledo_raw
+from oracles import _cmul, bisection_rep, object_side_pairings, per_branch_toledo, transport_toledo_raw
 
 
 def rotations_rep(genus, angles_a, angles_b):
@@ -285,8 +285,7 @@ class TestPrincipalLift:
             assert_same_bits_as_per_branch(reflect_conjugate(r), rng)
 
     def test_equal_instances_each_evaluate_their_own_words(self, monkeypatch, octagon_rep):
-        calls = {"_cmul": 0, "_mul": 0, "_cocycle": 0, "_lattice_point": 0, "_distance_to_pm_eye": 0,
-                 "_renorm": 0}
+        calls = {"_mul": 0, "_cocycle": 0, "_phi": 0, "frobenius_distance": 0, "_renorm": 0}
 
         def counting(module, name):
             inner = getattr(module, name)
@@ -296,11 +295,10 @@ class TestPrincipalLift:
                 return inner(*args)
             monkeypatch.setattr(module, name, wrapper)
 
-        counting(cover, "_cmul")
         counting(reps, "_mul")
         counting(reps, "_cocycle")
-        counting(reps, "_lattice_point")
-        counting(reps, "_distance_to_pm_eye")
+        counting(reps, "_phi")
+        counting(reps, "frobenius_distance")
         counting(halfplane, "_renorm")
         counting(reps, "_renorm")
         text = format_rep(octagon_rep)
@@ -309,10 +307,9 @@ class TestPrincipalLift:
         assert r1 == r2 and hash(r1) == hash(r2) and r1 is not r2
         # genus 2: one matrix product per letter of the 8-letter word, and
         # one carry per product; an inverse letter's lift carries nothing.
-        # The word is renormalized once, at its end, and its distances to
-        # +-I and its lattice point are read once.
-        word = {"_cmul": 0, "_mul": 8, "_cocycle": 8, "_lattice_point": 1, "_distance_to_pm_eye": 1,
-                "_renorm": 1}
+        # The word is renormalized once, at its end, and its two distances,
+        # to I and to -I, and its phi(i) are read once.
+        word = {"_mul": 8, "_cocycle": 8, "_phi": 1, "frobenius_distance": 2, "_renorm": 1}
 
         first = toledo(r1)
         assert calls == word
@@ -444,17 +441,23 @@ class TestReflectConjugate:
         assert toledo(reflect_conjugate(octagon_rep)).value == -toledo(octagon_rep).value
 
 
+def assert_branch_independent(r, seed, trials=20):
+    # the genuine per-branch route gives toledo's integer on every vector
+    value = toledo(r).value
+    for branches in branch_vectors(r.genus, random.Random(seed), count=trials):
+        assert per_branch_toledo(r, branches).value == value
+
+
 class TestBranchIndependence:
     def test_trivial(self):
-        assert branch_independence_check(Representation.trivial(2), seed=1)
+        assert_branch_independent(Representation.trivial(2), seed=1)
 
     def test_octagon_many_seeds(self, octagon_rep):
         for seed in range(20):
-            assert branch_independence_check(octagon_rep, seed=seed, trials=1)
+            assert_branch_independent(octagon_rep, seed=seed, trials=1)
 
     def test_solver_rep(self):
-        r = solve(2, seed=11)
-        assert branch_independence_check(r, seed=0)
+        assert_branch_independent(solve(2, seed=11), seed=0)
 
 
 class TestRepFile:
@@ -481,6 +484,7 @@ class TestRepFile:
             "genus 2\nA 1 0 0 1\nB 1 0 0 1\n",      # wrong counts
             "genus 1\nA 1 0 0\nB 1 0 0 1\n",        # short row
             "genus 1\nQ 1 0 0 1\n",                  # unknown record
+            "genus 5\nA 1 0 0 1\nB 1 0 0 1\ngenus 1\n",  # repeated genus
         ],
     )
     def test_malformed_rejected(self, text):
@@ -511,6 +515,19 @@ class TestRecords:
         for op in (lambda: value + value, lambda: 2 * value, lambda: value * 2):
             with pytest.raises(TypeError):
                 op()
+
+    @pytest.mark.parametrize("builder", [lambda v: type(v)._make(tuple(v)), lambda v: v._replace()],
+                             ids=["_make", "_replace"])
+    @pytest.mark.parametrize("value", [
+        Mat2.identity(), HPoint(0.0, 1.0), lift(rotation(0.3), 2), REP, POLY, LAT,
+    ], ids=lambda v: type(v).__name__)
+    def test_no_unchecked_builders(self, value, builder):
+        # the named-tuple builders would skip the checks of __new__; pickle
+        # and deepcopy go through __new__
+        with pytest.raises(TypeError):
+            builder(value)
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert twin == value and type(twin) is type(value) and repr(twin) == repr(value)
 
     @pytest.mark.parametrize("value", [REP, POLY, LAT, CLS])
     def test_equal_to_the_plain_tuple_and_pickled_twin(self, value):

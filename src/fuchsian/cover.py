@@ -42,6 +42,7 @@ from collections import namedtuple
 # mobius_act is not called here; it stays importable because bench/tracer.py
 # wraps it under this name.
 from .halfplane import (  # noqa: F401
+    _EYE,
     HPoint,
     Mat2,
     _inv,
@@ -55,8 +56,6 @@ from .halfplane import (  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
 KERNEL_TOL = 1e-6   # Frobenius distance to I for kernel membership
-
-_I = HPoint(0.0, 1.0)
 
 
 class NotInKernel(ValueError):
@@ -90,9 +89,6 @@ class CoverElement(namedtuple("CoverElement", "A n")):
 
     def __mul__(self, other: "CoverElement") -> "CoverElement":
         return cover_mul(self, other)
-
-    def inverse(self) -> "CoverElement":
-        return cover_inv(self)
 
 
 KernelValue = namedtuple("KernelValue", "k residual")
@@ -129,7 +125,7 @@ def lift(A: Mat2, k: int = 0) -> CoverElement:
 
 def phi_at(e: CoverElement, z: HPoint) -> complex:
     """Evaluate the branch at z: phi(i) plus the principal-log increment."""
-    return e.phi_i + cmath.log(j_cocycle(e.A, z) / j_cocycle(e.A, _I))
+    return e.phi_i + cmath.log(j_cocycle(e.A, z) / _j_i(e.A))
 
 
 def cover_mul(e1: CoverElement, e2: CoverElement) -> CoverElement:
@@ -150,7 +146,7 @@ def kernel_value(e: CoverElement) -> KernelValue:
     of phi(i) from 2*pi*i*k, so callers can judge how cleanly the element
     sits in the kernel.
     """
-    dist = frobenius_distance(e.A, Mat2.identity())
+    dist = frobenius_distance(e.A, _EYE)
     if dist > KERNEL_TOL:
         raise NotInKernel(f"matrix part is {dist:.3e} from I (tol {KERNEL_TOL:.1e})")
-    return KernelValue(e.n, abs(cmath.log(j_cocycle(e.A, _I))))
+    return KernelValue(e.n, abs(cmath.log(_j_i(e.A))))

@@ -130,6 +130,10 @@ class Mat2(namedtuple("Mat2", "a b c d")):
 # Unchecked constructor for an entry tuple that has just passed _check_mat.
 _mat = partial(tuple.__new__, Mat2)
 
+# +-I as entry tuples, the one pair the distances to the centre are measured against
+_EYE = (1.0, 0.0, 0.0, 1.0)
+_MINUS_EYE = (-1.0, -0.0, -0.0, -1.0)  # -Mat2.identity() bit for bit
+
 
 def frobenius_distance(A: tuple, B: tuple) -> float:
     """Frobenius distance of two entry 4-tuples."""
@@ -196,9 +200,7 @@ def classify_detailed(A: Mat2) -> Classification:
     """
     tr = A.trace
     margin = abs(abs(tr) - 2.0)
-    near_plus = frobenius_distance(A, Mat2.identity())
-    near_minus = frobenius_distance(A, -Mat2.identity())
-    if min(near_plus, near_minus) <= TRACE_TOL:
+    if min(frobenius_distance(A, _EYE), frobenius_distance(A, _MINUS_EYE)) <= TRACE_TOL:
         kind = IsometryClass.IDENTITY
     elif margin <= TRACE_TOL:
         kind = IsometryClass.PARABOLIC

@@ -9,7 +9,9 @@ Layout, one record per line:
 
 Numbers are written with 17 significant digits so a round trip through the
 file reproduces the doubles bit for bit.  Blank lines and lines starting
-with '#' are ignored on read.
+with '#' are ignored on read.  A meta text holds no line boundary (any
+that str.splitlines splits at) and does not end in whitespace, which the
+read strips, so it reads back as written; format_rep refuses any other.
 """
 from __future__ import annotations
 
@@ -24,6 +26,8 @@ def format_rep(r: Representation, meta: "list[str] | None" = None) -> str:
     for B in r.gens_b:
         lines.append(f"B {B.a:.17g} {B.b:.17g} {B.c:.17g} {B.d:.17g}")
     for m in meta or []:
+        if len(m.splitlines()) > 1 or m != m.rstrip():
+            raise ValueError(f"meta {m!r} would not read back: a line break or trailing whitespace")
         lines.append(f"meta {m}")
     return "\n".join(lines) + "\n"
 

@@ -34,10 +34,7 @@ from math import pi
 # lift, cover_mul and cover_inv stay importable here: bench/tracer.py wraps
 # them under these names.
 from .cover import NonIntegral, _cocycle, _phi, cover_inv, cover_mul, lift  # noqa: F401
-from .halfplane import Mat2, _inv, _mat, _mul, _renorm, frobenius_distance
-
-_EYE = (1.0, 0.0, 0.0, 1.0)
-_MINUS_EYE = (-1.0, -0.0, -0.0, -1.0)
+from .halfplane import _EYE, _MINUS_EYE, Mat2, _inv, _mat, _mul, _renorm, frobenius_distance
 
 REL_TOL = 1e-6         # relation residual for a representation to count as valid
 SOLVE_TOL = 1e-14      # solver target: squared Frobenius norm of the product minus I
@@ -58,10 +55,10 @@ class Representation(namedtuple("Representation", "genus gens_a gens_b")):
     Construction does not enforce the relation, so solver iterates and other
     unvalidated candidates can be carried around; anything consuming the
     representation as a representation checks relation_residual itself.
-    The relation word (its letters and partial products), the word's
-    distances to +-I, the integer winding of its principal lift and the
-    ToledoResult read off them are evaluated on first use and kept on the
-    instance, not keyed by value: equal instances each compute theirs.
+    Two steps are evaluated on first use and kept on the instance, not
+    keyed by value, so equal instances each compute theirs: _relation, the
+    relation word with its one check and its distances to +-I, and
+    _toledo, the ToledoResult read off the winding of its principal lift.
     No __slots__, so each instance has the __dict__ that keeps them;
     cached_property writes there directly, and nothing else can set an
     attribute.
@@ -94,32 +91,24 @@ class Representation(namedtuple("Representation", "genus gens_a gens_b")):
 
     @cached_property
     def _relation(self) -> tuple:
-        """The relation word as _word's (letters, partial products) and the
-        last product through _renorm, the word's one check; ValueError when
-        it cannot be renormalized, and then nothing is kept."""
+        """The relation word evaluated once: _word's (letters, partial
+        products), the last product through _renorm, the word's one check,
+        and that product's Frobenius distances to I and to -I.  ValueError
+        when it cannot be renormalized, and then nothing is kept."""
         letters, partials = _word(zip(self.gens_a, self.gens_b))
-        return letters, partials, _renorm(*partials[-1])
-
-    @cached_property
-    def _winding(self) -> int:
-        """Integer winding of the word's principal lift, the sum of its product
-        carries; NonIntegral from a refused carry, and then nothing is kept."""
-        letters, partials, _ = self._relation
-        return sum(map(_cocycle, partials, letters, partials[1:]))
-
-    @cached_property
-    def _distances(self) -> tuple[float, float]:
-        """Frobenius distances of the word to I and to -I; ValueError as _relation."""
-        m = self._relation[1][-1]
-        return frobenius_distance(m, _EYE), frobenius_distance(m, _MINUS_EYE)
+        m = partials[-1]
+        return (letters, partials, _renorm(*m),
+                frobenius_distance(m, _EYE), frobenius_distance(m, _MINUS_EYE))
 
     @cached_property
     def _toledo(self) -> "ToledoResult":
         """The word's ToledoResult before toledo's checks: Im phi(i) / pi of its
-        principal lift rounded to the lattice, odd over -I and even over I; no
-        refusal is kept."""
-        raw = _phi((self._relation[1][-1], self._winding)).imag / pi
-        dist_plus, dist_minus = self._distances
+        principal lift, whose integer winding sums the word's product carries,
+        rounded to the lattice, odd over -I and even over I.  NonIntegral from
+        a refused carry, and no refusal is kept."""
+        letters, partials, _, dist_plus, dist_minus = self._relation
+        winding = sum(map(_cocycle, partials, letters, partials[1:]))
+        raw = _phi((partials[-1], winding)).imag / pi
         psl_only = dist_minus < dist_plus
         value = int(round(raw) if psl_only else 2 * round(raw / 2.0))
         return ToledoResult(value, raw, abs(raw - value), min(dist_plus, dist_minus), psl_only)
@@ -155,7 +144,7 @@ def relation_residual(r: Representation) -> float:
     cannot be verified for such generators.
     """
     try:
-        return min(r._distances)
+        return min(r._relation[3:])
     except ValueError:
         return math.inf
 

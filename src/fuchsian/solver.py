@@ -36,10 +36,10 @@ import math
 import operator
 import sys
 
-from .halfplane import Mat2, _mul
+from .halfplane import _EYE, Mat2, _mul
 # jacobian_rank stays importable here: bench/tracer.py wraps it under this
 # name and bench/workloads.py calls it here.
-from .reps import _EYE, SOLVE_TOL, Representation, _require_relation, _word, jacobian_rank  # noqa: F401
+from .reps import SOLVE_TOL, Representation, _require_relation, _word, jacobian_rank  # noqa: F401
 
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
@@ -304,7 +304,6 @@ def refine(
         iterations += 1
         gap, cols = relation_jacobian(rows, word)
         gram = _gram(cols)
-        accepted = False
         while lam <= 1e14:
             delta = _damped_step(gram, cols, gap, lam)
             if delta is not None:
@@ -319,11 +318,10 @@ def refine(
                 elif f_cand < f:
                     rows, f, word = cand, f_cand, trial
                     lam = max(lam / 10.0, 1e-14)
-                    accepted = True
                     break
             rejected_steps += 1
             lam *= 10.0
-        if not accepted:
+        else:  # no damping up to 1e14 lowered the residual
             stop = "stalled"
             break
         accepted_steps += 1

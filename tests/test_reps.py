@@ -2,9 +2,11 @@ import copy
 import math
 import pickle
 import random
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import sl2_matrices
 from fuchsian.cover import _phi, cover_inv, lift
@@ -348,7 +350,7 @@ class TestPrincipalLift:
                 assert relation_residual(rep) == 0.0
                 with pytest.raises(NonIntegral, match="rounded to zero"):
                     toledo(rep)
-            assert not {"_winding", "_toledo"} & vars(rep).keys()
+                assert vars(rep).keys() == {"_relation"}
         assert NonIntegral is cover.NonIntegral is fuchsian.NonIntegral
 
     def test_relation_refusal_then_infinite_tolerance(self):
@@ -383,7 +385,7 @@ class TestPrincipalLift:
             with pytest.raises(ValueError, match="cannot renormalize entries with det nan") as exc:
                 toledo(r, rel_tol=math.inf)
             assert type(exc.value) is ValueError
-            assert not {"_relation", "_winding"} & vars(r).keys()
+            assert not vars(r)
 
     def test_branch_count_checked_after_the_lift_is_kept(self, octagon_rep):
         toledo(octagon_rep)
@@ -467,6 +469,34 @@ class TestRepFile:
         assert back == octagon_rep  # bit-identical through 17 digits
         assert meta == ["hello world"]
 
+    @pytest.mark.parametrize("m", ["", "  padded", "a # b", "tab\tinside", "caf\u00e9", "meta genus 3"])
+    def test_accepted_meta_round_trips(self, m):
+        r = Representation.trivial(1)
+        back, meta = parse_rep(format_rep(r, [m, "last"]))
+        assert back == r and meta == [m, "last"]
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.text())
+    def test_meta_is_refused_or_read_back(self, m):
+        r = Representation.trivial(1)
+        try:
+            text = format_rep(r, [m])
+        except ValueError:
+            return
+        assert parse_rep(text) == (r, [m])
+
+    @pytest.mark.parametrize("sep", ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                                     "\x85", "\u2028", "\u2029"])
+    def test_meta_line_boundary_is_refused(self, sep):
+        for m in (f"x{sep}y", f"x{sep}", f"{sep}y"):
+            with pytest.raises(ValueError, match=r"meta .* would not read back"):
+                format_rep(Representation.trivial(1), [m])
+
+    @pytest.mark.parametrize("m", ["  padded  ", "x ", "x\t", "x\u00a0", " "])
+    def test_meta_trailing_whitespace_is_refused(self, m):
+        with pytest.raises(ValueError, match=f"meta {re.escape(repr(m))} would not read back"):
+            format_rep(Representation.trivial(1), [m])
+
     def test_file_round_trip(self, tmp_path, octagon_rep):
         path = tmp_path / "rep.txt"
         write_rep_file(path, octagon_rep)
@@ -535,7 +565,7 @@ class TestRecords:
         twin = pickle.loads(pickle.dumps(value))
         assert twin == value and type(twin) is type(value) and repr(twin) == repr(value)
 
-    def test_representation_keeps_its_word_once_per_instance(self):
+    def test_representation_keeps_its_word_once_per_instance(self, octagon_rep):
         r = Representation(*self.REP)
         assert "_relation" not in r.__dict__
         word = r._relation
@@ -544,3 +574,11 @@ class TestRecords:
         assert twin == r and twin._relation is not word and twin._relation == word
         # the kept word travels with a pickle
         assert pickle.loads(pickle.dumps(r)).__dict__ == {"_relation": word}
+        # the product, the residual and toledo read two kept steps, no more
+        r = Representation(*octagon_rep)
+        relation_product(r)
+        assert vars(r).keys() == {"_relation"}
+        assert relation_residual(r) == min(r._relation[3:])
+        assert vars(r).keys() == {"_relation"}
+        result = toledo(r)
+        assert vars(r).keys() == {"_relation", "_toledo"} and toledo(r) is result

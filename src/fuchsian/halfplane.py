@@ -13,9 +13,10 @@ _check_mat and _check_point, so each operation is one function that takes
 them as they are, and takes plain tuples alike.  The private kernels _mul
 and _inv return plain tuples.  _mul is the plain product: Mat2 @,
 cover.cover_mul and the relation word in reps check theirs once, through
-_renorm.  The adjugate _inv returns keeps its input's det bit for bit, and
-so its check, so Mat2.inv wraps it with _mat, which skips the check;
-mobius_act checks the point it returns and wraps it with _point.
+_renorm, and the tiling orbit leaves its short words unchecked.  The
+adjugate _inv returns keeps its input's det bit for bit, and so its check,
+so Mat2.inv wraps it with _mat, which skips the check; mobius_act checks
+the point it returns and wraps it with _point.
 
 All types are immutable values and all functions are pure, so everything in
 here can be shared or sent across threads freely.

@@ -45,8 +45,10 @@ def _from_disk(w: complex) -> complex:
 class HyperbolicPolygon(namedtuple("HyperbolicPolygon", "vertices genus")):
     """Cyclic vertex list of a regular-candidate 4g-gon, counterclockwise.
 
-    Construction checks the defining angle conditions: all interior angles
-    agree within ANGLE_TOL and they add up to 2*pi within ANGLE_TOL.
+    Construction builds each vertex as an HPoint from its (x, y) pair, so a
+    non-finite vertex or one with y <= 0 raises ValueError, then checks the
+    defining angle conditions: all interior angles agree within ANGLE_TOL
+    and they add up to 2*pi within ANGLE_TOL.
     """
 
     __slots__ = ()
@@ -54,7 +56,7 @@ class HyperbolicPolygon(namedtuple("HyperbolicPolygon", "vertices genus")):
     _make = _replace = None  # each would build a value without the checks
 
     def __new__(cls, vertices, genus: int) -> "HyperbolicPolygon":
-        vertices = tuple(vertices)
+        vertices = tuple(HPoint(*v) for v in vertices)
         if genus < 2:
             raise GenusTooSmall(f"genus must be >= 2, got {genus}")
         if len(vertices) != 4 * genus:
@@ -93,12 +95,10 @@ def interior_angles(vertices) -> list[float]:
     return angles
 
 
-def _vertices_at_radius(r: float, n: int) -> list[HPoint]:
-    vertices = []
-    for k in range(n):
-        z = _from_disk(r * cmath.exp(2j * math.pi * k / n))
-        vertices.append(HPoint(z.real, z.imag))
-    return vertices
+def _vertices_at_radius(r: float, n: int) -> list[tuple]:
+    """The n vertices as (x, y) pairs, unchecked: HyperbolicPolygon checks each one."""
+    zs = (_from_disk(r * cmath.exp(2j * math.pi * k / n)) for k in range(n))
+    return [(z.real, z.imag) for z in zs]
 
 
 def _disk_radius(g: int) -> float:
@@ -113,7 +113,7 @@ def regular_polygon(g: int) -> HyperbolicPolygon:
         raise GenusTooSmall(
             f"genus {g}: angle sum 2*pi needs area (4g-4)*pi > 0, so g >= 2"
         )
-    return HyperbolicPolygon(tuple(_vertices_at_radius(_disk_radius(g), 4 * g)), g)
+    return HyperbolicPolygon(_vertices_at_radius(_disk_radius(g), 4 * g), g)
 
 
 def polygon_area(p) -> float:
@@ -155,6 +155,9 @@ def side_pairings(p: HyperbolicPolygon) -> Representation:
     each commutator is a rotation about i (in the centre frame its entries
     grow like g^2 and the word misses REL_TOL first at g = 41 and at every
     g from 52), and certified against the vertices in that frame.
+    The closed forms pair only the polygon regular_polygon(g) returns; on any
+    other valid HyperbolicPolygon (rotated, moved, clockwise) _certify raises
+    PairingFailed.
     """
     g = p.genus
     n = 4 * g

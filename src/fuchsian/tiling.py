@@ -2,13 +2,18 @@
 
 Display-only output: translates of the fundamental polygon up to a word
 length bound, drawn with geodesic sides as circular arcs and clipped to a
-fixed viewport above the real axis.
+fixed viewport above the real axis.  The orbit's words are plain _mul
+products of the generators side_pairings checked and their adjugates.  Their
+det drifts off 1 by the rounding of ad - bc (7.5e-9 at most on the orbits
+the CLI admits), which scales a vertex's y by as much, far below the 0.01
+SVG units printed, so no product is renormalized and checked again (as
+Mat2 @ would); mobius_act checks each drawn vertex once.
 """
 from __future__ import annotations
 
 import math
 
-from .halfplane import HPoint, Mat2, mobius_act
+from .halfplane import _EYE, HPoint, Mat2, _inv, _mul, mobius_act
 from .polygons import HyperbolicPolygon, _frame_height
 from .reps import Representation
 
@@ -16,30 +21,24 @@ VIEWPORT = (-4.0, 4.0, 4.0)  # xmin, xmax, ymax in the polygon's frame
 SCALE = 100.0                # SVG units per half-plane unit
 
 
-def _canonical_key(M: Mat2) -> tuple:
-    entries = M
-    for e in M:
-        if abs(e) > 1e-9:
-            if e < 0:
-                entries = -M
-            break
-    return tuple(round(e, 6) for e in entries)
+def _canonical_key(m: tuple) -> tuple:
+    """One key for +-m: the rounded entries, signed so the first one clear of 0 is positive."""
+    flip = next((e for e in m if abs(e) > 1e-9), 0.0) < 0
+    return tuple(round(-e if flip else e, 6) for e in m)
 
 
-def orbit_matrices(rep: Representation, depth: int) -> list[tuple[int, Mat2]]:
-    """BFS over words of length <= depth; one matrix per tile (mod sign)."""
-    gens: list[Mat2] = []
-    for A, B in zip(rep.gens_a, rep.gens_b):
-        gens.extend([A, A.inv(), B, B.inv()])
-    eye = Mat2.identity()
-    seen = {_canonical_key(eye)}
-    frontier = [eye]
-    out = [(0, eye)]
+def orbit_matrices(rep: Representation, depth: int) -> list[tuple[int, tuple]]:
+    """BFS over words of length <= depth, as unchecked kernel products from _EYE:
+    (level, entry tuple) pairs, one per tile (mod sign)."""
+    gens = [m for A, B in zip(rep.gens_a, rep.gens_b) for m in (A, _inv(A), B, _inv(B))]
+    seen = {_canonical_key(_EYE)}
+    frontier = [_EYE]
+    out = [(0, _EYE)]
     for level in range(1, depth + 1):
         nxt = []
         for M in frontier:
             for G in gens:
-                N = M @ G
+                N = _mul(M, G)
                 key = _canonical_key(N)
                 if key not in seen:
                     seen.add(key)
@@ -49,25 +48,25 @@ def orbit_matrices(rep: Representation, depth: int) -> list[tuple[int, Mat2]]:
     return out
 
 
-def _svg_path(vertices: list[HPoint], tx, ty) -> str:
-    cmds = [f"M {tx(vertices[0].x):.2f} {ty(vertices[0].y):.2f}"]
-    n = len(vertices)
-    for k in range(n):
-        z1 = vertices[k]
-        z2 = vertices[(k + 1) % n]
+def _xy(v: HPoint) -> str:
+    """SVG coordinates of a point: x from the viewport's left edge, y down from its top."""
+    return f"{(v.x - VIEWPORT[0]) * SCALE:.2f} {(VIEWPORT[2] - v.y) * SCALE:.2f}"
+
+
+def _svg_path(vertices: list[HPoint]) -> str:
+    """Closed path of geodesic sides: a line for a vertical side, else an arc
+    of the upper semicircle about the real axis through both ends.  Its angle
+    grows as x falls, so the arc runs counterclockwise, which SVG's flipped y
+    reads as sweep 0, exactly when x falls."""
+    cmds = [f"M {_xy(vertices[0])}"]
+    for z1, z2 in zip(vertices, vertices[1:] + vertices[:1]):
         if abs(z1.x - z2.x) <= 1e-9 * (1.0 + abs(z1.x) + abs(z2.x)):
-            cmds.append(f"L {tx(z2.x):.2f} {ty(z2.y):.2f}")
-            continue
-        cx = (z2.x * z2.x + z2.y * z2.y - z1.x * z1.x - z1.y * z1.y) / (
-            2.0 * (z2.x - z1.x)
-        )
-        r = math.hypot(z1.x - cx, z1.y)
-        t1 = math.atan2(z1.y, z1.x - cx)
-        t2 = math.atan2(z2.y, z2.x - cx)
-        # increasing angle is counterclockwise in the plane, which reads as
-        # sweep 0 once the y axis is flipped into SVG coordinates
-        sweep = 0 if t2 > t1 else 1
-        cmds.append(f"A {r * SCALE:.2f} {r * SCALE:.2f} 0 0 {sweep} {tx(z2.x):.2f} {ty(z2.y):.2f}")
+            seg = "L"
+        else:
+            cx = (z2.x * z2.x + z2.y * z2.y - z1.x * z1.x - z1.y * z1.y) / (2.0 * (z2.x - z1.x))
+            r = math.hypot(z1.x - cx, z1.y) * SCALE
+            seg = f"A {r:.2f} {r:.2f} 0 0 {0 if z2.x < z1.x else 1}"
+        cmds.append(f"{seg} {_xy(z2)}")
     cmds.append("Z")
     return " ".join(cmds)
 
@@ -80,13 +79,6 @@ def render_tiling(polygon: HyperbolicPolygon, rep: Representation, depth: int) -
     xmin, xmax, ymax = VIEWPORT
     width = (xmax - xmin) * SCALE
     height = ymax * SCALE
-
-    def tx(x: float) -> float:
-        return (x - xmin) * SCALE
-
-    def ty(y: float) -> float:
-        return (ymax - y) * SCALE
-
     margin = 0.5 * (xmax - xmin)
     paths = []
     for level, M in orbit_matrices(rep, depth):
@@ -98,7 +90,7 @@ def render_tiling(polygon: HyperbolicPolygon, rep: Representation, depth: int) -
             continue
         hue = (47 * level) % 360
         paths.append(
-            f'<path d="{_svg_path(verts, tx, ty)}" '
+            f'<path d="{_svg_path(verts)}" '
             f'fill="hsl({hue},55%,{78 - 6 * (level % 4)}%)" '
             f'stroke="#333" stroke-width="1" clip-path="url(#vp)"/>'
         )

@@ -23,6 +23,7 @@ from fuchsian.polygons import (
     side_pairings,
 )
 from fuchsian.cli import MAX_GENUS
+from fuchsian.tiling import render_tiling
 from fuchsian.reps import (
     REL_TOL,
     jacobian_rank,
@@ -128,6 +129,18 @@ class TestRegularPolygon:
             polygon_area(vs)
         with pytest.raises(ValueError, match=message):
             HyperbolicPolygon(tuple(vs * 2), 2)
+
+    def test_mirrored_octagon_is_refused(self, octagon):
+        # the reflection of the octagon in the real axis has the same angles
+        with pytest.raises(ValueError, match="imaginary part .* must be positive"):
+            HyperbolicPolygon([(v.x, -v.y) for v in octagon.vertices], 2)
+
+    def test_plain_pairs_build_the_same_polygon(self, octagon, octagon_rep):
+        plain = HyperbolicPolygon([(v.x, v.y) for v in octagon.vertices], 2)
+        assert all(type(v) is HPoint for v in plain.vertices)
+        assert repr(side_pairings(plain)) == repr(octagon_rep)
+        svg = render_tiling(octagon, octagon_rep, 1)
+        assert render_tiling(plain, side_pairings(plain), 1) == svg
 
     def test_polygon_type_rejects_unequal_angles(self):
         # a visibly irregular quadrilateral-ish vertex list cannot pass

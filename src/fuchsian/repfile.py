@@ -21,10 +21,8 @@ from .reps import Representation
 
 def format_rep(r: Representation, meta: "list[str] | None" = None) -> str:
     lines = [f"genus {r.genus}"]
-    for A in r.gens_a:
-        lines.append(f"A {A.a:.17g} {A.b:.17g} {A.c:.17g} {A.d:.17g}")
-    for B in r.gens_b:
-        lines.append(f"B {B.a:.17g} {B.b:.17g} {B.c:.17g} {B.d:.17g}")
+    lines += ["A %.17g %.17g %.17g %.17g" % A for A in r.gens_a]
+    lines += ["B %.17g %.17g %.17g %.17g" % B for B in r.gens_b]
     for m in meta or []:
         if len(m.splitlines()) > 1 or m != m.rstrip():
             raise ValueError(f"meta {m!r} would not read back: a line break or trailing whitespace")

@@ -7,7 +7,7 @@ differences (with its rank from the singular values), the Toledo
 invariant by transporting a float winding through the cover products, and
 the hyperbolic distance by the length of a fine polyline, and the Toledo
 invariant a second time as the area of the developed relation polygon,
-which shares no code with the cover.  Five are former
+which shares no code with the cover.  Six are former
 implementations kept for comparison: the Euler cocycle carry measured by
 arguments (three atan2s and the phase of j(m1, .) moved from i to m2.i),
 which cover replaced by a test on the signs of c and d; the relation
@@ -18,15 +18,19 @@ every lift on its own branch, a loop over the word reps.toledo winds on the
 pair kernels _cmul and _cinv kept here, which reps.toledo replaced by the
 principal lift's carries; the regular
 polygon built on HPoint objects, with three distances per interior angle,
-which polygons replaced by the tuple kernels and must match bit for bit;
+which polygons replaced by the tuple kernels and must match bit for bit
+in its vertices, and whose law-of-cosines angles the Cayley arguments of
+polygons._turns replaced within a stated bound;
 and its side pairings found by a two-point carrier on Mat2 objects (Mat2 @,
 rotation, mobius_act, hyp_distance), in the polygon's centre frame, which
 polygons replaced by a closed form in the vertex frame.  The closed form
 matches the carrier up to sign after the frame map, and the carrier's
 centre-frame words stay the input of the kernel pins and the float
-transport oracle.  The rest are test-only helpers: points along
-a geodesic (the distance oracle's polyline, and the side midpoints the
-pairing tests compare), and for euclidean the displacement of a lattice
+transport oracle.  The rep text with each entry written by its own
+format(x, ".17g"), which repfile.format_rep replaced by one %-format per
+record and must match byte for byte.  The rest are test-only helpers:
+points along a geodesic (the distance oracle's polyline, and the side
+midpoints the pairing tests compare), and for euclidean the displacement of a lattice
 commutator over sample points and the length of a Euclidean polyline.
 """
 import cmath
@@ -552,3 +556,12 @@ def euclid_path_length(points: list) -> float:
     return sum(
         math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in zip(points, points[1:])
     )
+
+
+def per_field_format_rep(r, meta=None) -> str:
+    """repfile's text with each entry formatted on its own, by format(x, ".17g")."""
+    lines = [f"genus {r.genus}"]
+    for key, gens in (("A", r.gens_a), ("B", r.gens_b)):
+        lines += [" ".join([key, *(format(x, ".17g") for x in M)]) for M in gens]
+    lines += [f"meta {m}" for m in meta or []]
+    return "\n".join(lines) + "\n"

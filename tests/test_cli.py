@@ -1,3 +1,5 @@
+import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -330,6 +332,29 @@ def test_polygon_command(tmp_path, capsys):
     lines = path.read_text().splitlines()
     assert sum(1 for l in lines if l.startswith("v ")) == 12
     assert abs(float(out["area"]) - 8 * 3.141592653589793) < 1e-8
+
+
+@pytest.mark.parametrize("genus", [2, 3, 150])
+def test_polygon_command_values(genus, tmp_path, capsys):
+    # the angles are Cayley arguments; against the law of cosines they moved
+    # by at most 4.0e-14 (interior_angle), 2.2e-11 (angle_sum, area) for g <= 150
+    assert run(["polygon", "--genus", str(genus), "--out", str(tmp_path / "poly.txt")]) == 0
+    out = kv(capsys.readouterr().out)
+    assert out["n"] == str(4 * genus)
+    assert abs(float(out["angle_sum"]) - 2 * math.pi) <= 1e-10
+    assert abs(float(out["area"]) - 2 * math.pi * (2 * genus - 2)) <= 1e-9
+
+
+@pytest.mark.parametrize("genus, sha256", [
+    (2, "1aec93e5e21acbd5c22969affce4cfd47553f8d5fca97df12686a0551ebac078"),
+    (3, "ef7105b6e23349276d2f6c6e8530828ca4982be0d161f556e78c772a933facc9"),
+    (48, "d2b692fecd05ae90b6ca083acbc658245bc1d67da34f93d2048a0372e3b2c783"),
+    (150, "10a8a91d250d2577d7b104dc1400ddfe67b9c2866b0425dc9ad30f655b5e50b9"),
+])
+def test_fuchsian_gen_file_bytes_are_pinned(genus, sha256, tmp_path, capsys):
+    path = tmp_path / "gen.rep"
+    assert run(["fuchsian-gen", "--genus", str(genus), "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 def test_tile_command(tmp_path, capsys):

@@ -96,15 +96,21 @@ class TestRegularPolygon:
 
     def test_matches_object_oracle_bit_for_bit(self):
         # the tuple kernels keep every float operation of the object
-        # construction in its order, so every output agrees by repr
+        # construction in its order, so the vertices agree by repr; the
+        # angles are Cayley arguments, not the oracle's law of cosines, and
+        # agree with it within 7.1e-12 relative (at g = 150) and with
+        # pi/(2g) within 7.3e-12
+        rel = 1e-10
         for g in [*range(2, 61), 100, 150]:
             p = regular_polygon(g)
             vertices = object_vertices(_disk_radius(g), 4 * g)
             assert repr(p.vertices) == repr(tuple(vertices)), g
             angles = per_vertex_interior_angles(vertices)
-            assert repr(interior_angles(p.vertices)) == repr(angles), g
+            got = interior_angles(p.vertices)
+            assert all(abs(a - b) <= rel * b for a, b in zip(got, angles)), g
+            assert all(abs(a - math.pi / (2 * g)) <= rel * math.pi / (2 * g) for a in got), g
             area = (len(vertices) - 2) * math.pi - sum(angles)
-            assert repr(polygon_area(p)) == repr(area), g
+            assert abs(polygon_area(p) - area) <= rel * area, g
 
     def test_closed_form_pairings_match_the_carrier(self):
         # mapped back to the centre frame, each closed-form generator is the
@@ -141,6 +147,22 @@ class TestRegularPolygon:
         assert repr(side_pairings(plain)) == repr(octagon_rep)
         svg = render_tiling(octagon, octagon_rep, 1)
         assert render_tiling(plain, side_pairings(plain), 1) == svg
+
+    def test_clockwise_octagon_is_refused(self, octagon):
+        # the Cayley argument is signed: -pi/4 at every vertex of the
+        # reversed list, whose unsigned angles and area are the octagon's
+        reversed_ = octagon.vertices[::-1]
+        with pytest.raises(ValueError, match=r"interior angles sum to -6\.28.*, not 2\*pi"):
+            HyperbolicPolygon(reversed_, 2)
+        for a in interior_angles(reversed_):
+            assert abs(a - math.pi / 4) < 1e-12
+        assert abs(polygon_area(reversed_) - polygon_area(octagon)) < 1e-12
+
+    def test_overflowing_vertices_are_refused(self):
+        # differences past the float range leave every Cayley argument NaN
+        vs = [(1e308, 1.0), (-1e308, 1.0), (0.0, 1e308), (0.0, 1.0)] * 2
+        with pytest.raises(ValueError, match="interior angles sum to nan"):
+            HyperbolicPolygon(vs, 2)
 
     def test_polygon_type_rejects_unequal_angles(self):
         # a visibly irregular quadrilateral-ish vertex list cannot pass

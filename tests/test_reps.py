@@ -28,7 +28,14 @@ from fuchsian.reps import (
 import fuchsian
 from fuchsian import cover, halfplane, reps
 from fuchsian.solver import solve
-from oracles import _cmul, bisection_rep, object_side_pairings, per_branch_toledo, transport_toledo_raw
+from oracles import (
+    _cmul,
+    bisection_rep,
+    object_side_pairings,
+    per_branch_toledo,
+    per_field_format_rep,
+    transport_toledo_raw,
+)
 
 
 def rotations_rep(genus, angles_a, angles_b):
@@ -496,6 +503,37 @@ class TestRepFile:
     def test_meta_trailing_whitespace_is_refused(self, m):
         with pytest.raises(ValueError, match=f"meta {re.escape(repr(m))} would not read back"):
             format_rep(Representation.trivial(1), [m])
+
+    # off-diagonal entries the triangular letters carry: signed zeros,
+    # subnormals down to 5e-324, and the edges of the normal range
+    EDGE_ENTRIES = (0.0, -0.0, 5e-324, -5e-324, 2.5e-320, 2.2250738585072009e-308,
+                    2.2250738585072014e-308, 1.7976931348623157e308, -1e300, 1.0, -1.0)
+
+    def _edge_letter(self, rnd) -> Mat2:
+        kind = rnd.randrange(3)
+        if kind == 2:  # diag(s, 1/s) rotation(t): entries near s and 1/s, s up to 1e+-150
+            s, t = 10.0 ** rnd.uniform(-150.0, 150.0), rnd.uniform(-math.pi, math.pi)
+            c, sn = math.cos(t), math.sin(t)
+            return Mat2(s * c, -s * sn, sn / s, c / s)
+        a = rnd.choice((1.0, -1.0)) * 10.0 ** rnd.uniform(-150.0, 150.0)
+        x = rnd.choice(self.EDGE_ENTRIES) if rnd.random() < 0.5 else rnd.uniform(-1e3, 1e3)
+        return Mat2(a, x, 0.0, 1.0 / a) if kind == 0 else Mat2(a, rnd.choice((0.0, -0.0)), x, 1.0 / a)
+
+    def test_format_matches_the_per_field_oracle(self, octagon_rep):
+        rnd = random.Random(30)
+        corpus = [octagon_rep, Representation.trivial(2)]
+        for _ in range(300):
+            g = rnd.randint(1, 3)
+            corpus.append(Representation(
+                g,
+                tuple(self._edge_letter(rnd) for _ in range(g)),
+                tuple(self._edge_letter(rnd) for _ in range(g)),
+            ))
+        texts = [format_rep(r, ["seeded corpus"]) for r in corpus]
+        assert texts == [per_field_format_rep(r, ["seeded corpus"]) for r in corpus]
+        joined = "".join(texts)
+        for x in ("-0 ", "4.9406564584124654e-324", "2.2250738585072009e-308", "e+149", "e-149"):
+            assert x in joined, x
 
     def test_file_round_trip(self, tmp_path, octagon_rep):
         path = tmp_path / "rep.txt"

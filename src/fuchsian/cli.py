@@ -9,25 +9,19 @@ argument parsing prints one `error ...` line on stderr.
 
 Only `solve` imports the solver, so the other commands do not compile or
 load it.  No command loads numpy.
+
+Each handler imports the modules it runs, and `import fuchsian` loads no
+submodule (the package's names load on first use), so `classify` loads only
+`halfplane` and `euclid-reduce` only `euclidean`.  The commands that read or
+write a rep file load `halfplane`, `cover`, `reps` and `repfile`, and with
+`reps` the `dataclasses` module its ToledoResult needs.  Only `fuchsian-gen`,
+`polygon` and `tile` load `polygons`, and only `tile` loads `tiling`.
 """
 from __future__ import annotations
 
 import argparse
 import math
 import sys
-
-from . import polygons, repfile, tiling
-from .euclidean import LatticeGroup, reduce_point
-from .halfplane import Mat2, classify_detailed
-from .reps import (
-    REL_TOL,
-    SOLVE_TOL,
-    NonIntegral,
-    RelationViolated,
-    jacobian_rank,
-    relation_residual,
-    toledo,
-)
 
 EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 1
@@ -73,7 +67,8 @@ def _quad(text: str) -> list[float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="fuchsian", description=__doc__)
+    # the docstring's last paragraph is about loading, not usage: --help omits it
+    p = _Parser(prog="fuchsian", description=(__doc__ or "").rpartition("\n\n")[0])
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     c = sub.add_parser("toledo", help="Toledo invariant of a representation file")
@@ -85,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check-relation", help="commutator relation residual")
     c.add_argument("--in", dest="infile", required=True)
-    c.add_argument("--tol", type=float, default=REL_TOL)
+    c.add_argument("--tol", type=float)  # default reps.REL_TOL, read by the handler
 
     c = sub.add_parser("classify", help="trace classification of one matrix")
     c.add_argument("--matrix", type=_quad, required=True, metavar="a,b,c,d")
@@ -99,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", required=True)
     c.add_argument("--max-iter", type=int, default=500)
-    c.add_argument("--tol", type=float, default=SOLVE_TOL)
+    c.add_argument("--tol", type=float)  # default reps.SOLVE_TOL, read by the handler
     c.add_argument("--verbose", action="store_true")
 
     c = sub.add_parser("dim-check", help="numerical rank and dimension counts")
@@ -124,6 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_toledo(args) -> int:
+    from . import repfile
+    from .reps import toledo
+
     if not 0 <= args.branches <= MAX_BRANCH_TRIALS:
         raise ValueError(f"branch trials {args.branches} is outside 0..{MAX_BRANCH_TRIALS}")
     rep = repfile.read_rep_file(args.infile)
@@ -140,19 +138,25 @@ def _cmd_toledo(args) -> int:
 
 
 def _cmd_check_relation(args) -> int:
-    if not 0.0 <= args.tol < math.inf:  # also rejects NaN
-        raise ValueError(f"tol must be finite and non-negative, got {args.tol}")
+    from . import repfile
+    from .reps import REL_TOL, relation_residual
+
+    tol = REL_TOL if args.tol is None else args.tol
+    if not 0.0 <= tol < math.inf:  # also rejects NaN
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     rep = repfile.read_rep_file(args.infile)
     res = relation_residual(rep)
     print(f"residual {res:.17g}")
-    print(f"tol {args.tol:.17g}")
-    if res <= args.tol:
+    print(f"tol {tol:.17g}")
+    if res <= tol:
         return EXIT_OK
-    print(f"error relation residual {res:.3e} exceeds {args.tol:.1e}", file=sys.stderr)
+    print(f"error relation residual {res:.3e} exceeds {tol:.1e}", file=sys.stderr)
     return 1
 
 
 def _cmd_classify(args) -> int:
+    from .halfplane import Mat2, classify_detailed
+
     M = Mat2(*args.matrix)
     info = classify_detailed(M)
     print(f"class {info.kind.value.capitalize()}")
@@ -162,6 +166,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_fuchsian_gen(args) -> int:
+    from . import polygons, repfile
+    from .reps import relation_residual, toledo
+
     poly = polygons.regular_polygon(args.genus)
     rep = polygons.side_pairings(poly)
     result = toledo(rep)  # refuses a violated relation before the file is written
@@ -174,14 +181,15 @@ def _cmd_fuchsian_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    from . import solver
+    from . import repfile, solver
+    from .reps import SOLVE_TOL, relation_residual
 
     try:
         rep = solver.solve(
             args.genus,
             seed=args.seed,
             max_iter=args.max_iter,
-            tol=args.tol,
+            tol=SOLVE_TOL if args.tol is None else args.tol,
             verbose=args.verbose,
         )
     except solver.DidNotConverge as exc:
@@ -196,6 +204,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_dim_check(args) -> int:
+    from . import repfile
+    from .reps import jacobian_rank
+
     rep = repfile.read_rep_file(args.infile)
     rank = jacobian_rank(rep)
     g = rep.genus
@@ -206,6 +217,8 @@ def _cmd_dim_check(args) -> int:
 
 
 def _cmd_polygon(args) -> int:
+    from . import polygons
+
     poly = polygons.regular_polygon(args.genus)
     lines = [f"genus {poly.genus}"]
     for v in poly.vertices:
@@ -213,15 +226,18 @@ def _cmd_polygon(args) -> int:
     with open(args.out, "w") as f:
         f.write("\n".join(lines) + "\n")
     angles = polygons.interior_angles(poly.vertices)
+    n, angle_sum = len(angles), sum(angles)
     print(f"out {args.out}")
-    print(f"n {len(poly.vertices)}")
+    print(f"n {n}")
     print(f"interior_angle {angles[0]:.17g}")
-    print(f"angle_sum {sum(angles):.17g}")
-    print(f"area {polygons.polygon_area(poly):.17g}")
+    print(f"angle_sum {angle_sum:.17g}")
+    print(f"area {(n - 2) * math.pi - angle_sum:.17g}")  # polygon_area, on the same angles
     return EXIT_OK
 
 
 def _cmd_tile(args) -> int:
+    from . import polygons, tiling
+
     if not 0 <= args.depth <= MAX_TILE_DEPTH:
         raise ValueError(f"tile depth {args.depth} is outside 0..{MAX_TILE_DEPTH}")
     poly = polygons.regular_polygon(args.genus)  # refuses genus < 2 first
@@ -240,6 +256,8 @@ def _cmd_tile(args) -> int:
 
 
 def _cmd_euclid_reduce(args) -> int:
+    from .euclidean import LatticeGroup, reduce_point
+
     lattice = LatticeGroup(args.a, args.b)
     q, (n, m) = reduce_point(lattice, args.p)
     print(f"reduced {q[0]:.17g} {q[1]:.17g}")
@@ -267,17 +285,18 @@ def run(argv=None) -> int:
         if getattr(args, "genus", 0) > MAX_GENUS:
             raise ValueError(f"genus {args.genus} is above {MAX_GENUS}")
         return _HANDLERS[args.command](args)
-    except RelationViolated as exc:
-        print(f"error {exc}", file=sys.stderr)
-        return EXIT_RELATION_VIOLATED
-    except NonIntegral as exc:
-        print(f"error {exc}", file=sys.stderr)
-        return EXIT_NON_INTEGRAL
     except (OSError, ValueError) as exc:
         # The package raises ValueError for values outside its domain (a rep
         # file that does not parse, det != 1, a dependent lattice basis, a
         # genus too small); OSError covers input and output paths.
         print(f"error {exc}", file=sys.stderr)
+        # only code that has loaded reps raises its two refusals, so they are
+        # looked up without loading it for the commands that do not
+        reps = sys.modules.get(f"{__package__}.reps")
+        if reps and isinstance(exc, reps.RelationViolated):
+            return EXIT_RELATION_VIOLATED
+        if reps and isinstance(exc, reps.NonIntegral):
+            return EXIT_NON_INTEGRAL
         return EXIT_USAGE
 
 

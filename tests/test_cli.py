@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import fuchsian
-from fuchsian import cli, cover, reps
+from fuchsian import cover, polygons, reps, tiling
 from fuchsian.cli import MAX_BRANCH_TRIALS, MAX_GENUS, MAX_TILES, run
 from fuchsian.halfplane import rotation, scaling, Mat2
-from fuchsian.polygons import regular_polygon, side_pairings
+from fuchsian.polygons import interior_angles, polygon_area, regular_polygon, side_pairings
 from fuchsian.repfile import format_rep, parse_rep, read_rep_file, write_rep_file
 from fuchsian.reps import Representation, relation_residual, toledo
 from oracles import object_side_pairings
@@ -44,7 +44,7 @@ def test_fuchsian_gen_round_trip(tmp_path, capsys):
 def test_fuchsian_gen_refusal_writes_no_file(tmp_path, capsys, monkeypatch):
     # the genus-48 polygon word paired in the centre frame misses REL_TOL,
     # so toledo refuses it
-    monkeypatch.setattr(cli.polygons, "side_pairings", object_side_pairings)
+    monkeypatch.setattr(polygons, "side_pairings", object_side_pairings)
     path = tmp_path / "rep.txt"
     assert run(["fuchsian-gen", "--genus", "48", "--out", str(path)]) == 3
     captured = capsys.readouterr()
@@ -343,6 +343,23 @@ def test_polygon_command_values(genus, tmp_path, capsys):
     assert out["n"] == str(4 * genus)
     assert abs(float(out["angle_sum"]) - 2 * math.pi) <= 1e-10
     assert abs(float(out["area"]) - 2 * math.pi * (2 * genus - 2)) <= 1e-9
+    # the printed values are the library's, bit for bit
+    poly = regular_polygon(genus)
+    angles = interior_angles(poly.vertices)
+    assert (out["interior_angle"], out["angle_sum"], out["area"]) == (
+        f"{angles[0]:.17g}", f"{sum(angles):.17g}", f"{polygon_area(poly):.17g}")
+
+
+def test_polygon_command_walks_the_angles_twice(tmp_path, capsys, monkeypatch):
+    # once in the constructor's check, once for the printed angle, sum and area
+    turns, passes = polygons._turns, []
+
+    def counting(vertices):
+        passes.append(len(vertices))
+        return turns(vertices)
+    monkeypatch.setattr(polygons, "_turns", counting)
+    assert run(["polygon", "--genus", "150", "--out", str(tmp_path / "poly.txt")]) == 0
+    assert passes == [600, 600]
 
 
 @pytest.mark.parametrize("genus, sha256", [
@@ -393,7 +410,7 @@ def test_tile_above_max_tiles_exits_64_without_enumerating(genus, depth, words, 
     def refuse(*args):
         raise AssertionError("orbit enumerated")
 
-    monkeypatch.setattr(cli.tiling, "orbit_matrices", refuse)
+    monkeypatch.setattr(tiling, "orbit_matrices", refuse)
     path = tmp_path / "tiling.svg"
     assert run(["tile", "--genus", str(genus), "--depth", str(depth), "--out", str(path)]) == 64
     captured = capsys.readouterr()
@@ -407,7 +424,7 @@ def test_tile_above_max_tiles_exits_64_without_enumerating(genus, depth, words, 
 @pytest.mark.parametrize("genus, depth", [(2, 5), (3, 4), (7, 3), (37, 2)])
 def test_tile_at_or_below_max_tiles_is_drawn(genus, depth, tmp_path, capsys, monkeypatch):
     # genus 2 at depth 5 enumerates exactly MAX_TILES words; the SVG itself is stubbed
-    monkeypatch.setattr(cli.tiling, "render_tiling", lambda poly, rep, depth: "<svg/>")
+    monkeypatch.setattr(tiling, "render_tiling", lambda poly, rep, depth: "<svg/>")
     assert run(["tile", "--genus", str(genus), "--depth", str(depth), "--out", str(tmp_path / "t.svg")]) == 0
 
 
@@ -546,3 +563,46 @@ def test_cli_import_leaves_typing_and_pathlib_unloaded():
     proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_package_import_loads_no_submodule():
+    src = str(Path(fuchsian.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys\nimport fuchsian\nprint(sorted(m for m in sys.modules if m.startswith('fuchsian.')))\n"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+_UNUSED_BY_PLANE = {"fuchsian.reps", "dataclasses"}
+_UNUSED_BY_REP_FILE = {"fuchsian.polygons", "fuchsian.tiling", "fuchsian.euclidean", "fuchsian.solver"}
+
+
+@pytest.mark.parametrize("argv, code, unloaded", [
+    (["classify", "--matrix", "2,1,1,1"], 0, _UNUSED_BY_PLANE),
+    (["classify", "--matrix", "2,0,0,2"], 64, _UNUSED_BY_PLANE),
+    (["euclid-reduce", "--a", "1,0", "--b", "0,1", "--p", "2.5,-0.75"], 0, _UNUSED_BY_PLANE),
+    (["euclid-reduce", "--a", "1,0", "--b", "2,0", "--p", "0,0"], 64, _UNUSED_BY_PLANE),
+    (["toledo", "--in", "gen.rep", "--branches", "3"], 0, _UNUSED_BY_REP_FILE),
+    (["toledo", "--in", "underflow.rep"], 2, _UNUSED_BY_REP_FILE),
+    (["check-relation", "--in", "gen.rep"], 0, _UNUSED_BY_REP_FILE),
+    (["dim-check", "--in", "gen.rep"], 0, _UNUSED_BY_REP_FILE),
+], ids=["classify", "classify-64", "euclid-reduce", "euclid-reduce-64",
+        "toledo", "toledo-2", "check-relation", "dim-check"])
+def test_command_loads_only_what_it_runs(argv, code, unloaded, tmp_path):
+    # -S, as above; each command in a fresh interpreter, which then reports
+    # its exit code and the modules of `unloaded` it loaded
+    write_rep_file(tmp_path / "gen.rep", side_pairings(regular_polygon(2)))
+    (tmp_path / "underflow.rep").write_text("genus 1\nA 2 0 5e-324 0.5\nB 0.4 -0.0 5e-324 2.5\n")
+    probe = (
+        "import sys\n"
+        "from fuchsian.cli import run\n"
+        "code = run(sys.argv[2:])\n"
+        "print(code, sorted(set(sys.argv[1].split()) & set(sys.modules)))\n"
+    )
+    src = str(Path(fuchsian.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, " ".join(unloaded), *argv],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{code} []"

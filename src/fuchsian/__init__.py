@@ -5,6 +5,7 @@ The names below are loaded on first use (PEP 562): `import fuchsian` runs
 no submodule, and `fuchsian.toledo` imports `fuchsian.reps` the first time
 it is read.
 """
+from collections import namedtuple
 from importlib import import_module
 
 _EXPORTS = {
@@ -38,3 +39,11 @@ def __getattr__(name: str):
 
 def __dir__() -> list:
     return sorted({*globals(), *__all__})
+
+
+def _value_type(name: str, fields: str) -> type:
+    """Named tuple for the value types: no tuple + or * (a type may define * as
+    its law), and no _make or _replace, which skip the checks in __new__."""
+    base = namedtuple(name, fields)
+    base.__add__ = base.__mul__ = base.__rmul__ = base._make = base._replace = None
+    return base

@@ -37,7 +37,8 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from collections import namedtuple
+
+from . import _value_type
 
 # mobius_act is not called here; it stays importable because bench/tracer.py
 # wraps it under this name.
@@ -70,12 +71,10 @@ def _j_i(m: tuple) -> complex:
     return complex(m[3], m[2])  # j(A, i) = d + ci
 
 
-class CoverElement(namedtuple("CoverElement", "A n")):
+class CoverElement(_value_type("CoverElement", "A n")):
     """Pair (A, n): the matrix and the integer winding of phi(i) = Log j(A, i) + 2*pi*i*n."""
 
     __slots__ = ()
-    __add__ = __rmul__ = None  # * is the group law, not tuple repetition
-    _make = _replace = None  # each would build a value without the checks
 
     def __new__(cls, A: Mat2, n: int) -> "CoverElement":
         if not isinstance(A, Mat2):
@@ -91,7 +90,7 @@ class CoverElement(namedtuple("CoverElement", "A n")):
         return cover_mul(self, other)
 
 
-KernelValue = namedtuple("KernelValue", "k residual")
+KernelValue = _value_type("KernelValue", "k residual")
 
 
 # Kernels on plain tuples: _h and _cocycle read entries (a, b, c, d), as a

@@ -24,10 +24,11 @@ here can be shared or sent across threads freely.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from enum import Enum
 from functools import partial
 from math import isfinite
+
+from . import _value_type
 
 DET_TOL = 1e-9    # |det - 1| allowed at construction
 TRACE_TOL = 1e-8  # half-width of the parabolic band around |trace| = 2
@@ -95,12 +96,10 @@ def _check_point(p: tuple) -> tuple:
     return p
 
 
-class Mat2(namedtuple("Mat2", "a b c d")):
+class Mat2(_value_type("Mat2", "a b c d")):
     """Real 2x2 matrix of determinant one (within DET_TOL), as its entries (a, b, c, d)."""
 
     __slots__ = ()
-    __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
-    _make = _replace = None  # each would build a value without the checks
 
     def __new__(cls, a: float, b: float, c: float, d: float) -> "Mat2":
         return _mat(_check_mat((a, b, c, d)))
@@ -149,12 +148,10 @@ def frobenius_distance(A: tuple, B: tuple) -> float:
         return math.inf
 
 
-class HPoint(namedtuple("HPoint", "x y")):
+class HPoint(_value_type("HPoint", "x y")):
     """Point x + iy of the upper half-plane, y > 0, as its pair (x, y)."""
 
     __slots__ = ()
-    __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
-    _make = _replace = None  # each would build a value without the checks
 
     def __new__(cls, x: float, y: float) -> "HPoint":
         return _point(_check_point((x, y)))
@@ -179,13 +176,12 @@ class IsometryClass(Enum):
     HYPERBOLIC = "hyperbolic"
 
 
-class Classification(namedtuple("Classification", "kind trace margin confident")):
+class Classification(_value_type("Classification", "kind trace margin confident")):
     """classify() plus the data needed to judge it near the parabolic boundary:
     the IsometryClass, the trace, the margin | |trace| - 2 | and whether that
     margin is comfortably outside the parabolic band."""
 
     __slots__ = ()
-    __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
 
 def classify(A: Mat2) -> IsometryClass:

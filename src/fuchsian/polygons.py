@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import namedtuple
 
+from . import _value_type
 from .halfplane import Mat2, _check_point, _mat, _point, _renorm, hyp_distance, mobius_act
 from .reps import Representation
 
@@ -48,7 +48,7 @@ def _from_disk(w: complex) -> complex:
     return 1j * (1.0 + w) / (1.0 - w)
 
 
-class HyperbolicPolygon(namedtuple("HyperbolicPolygon", "vertices genus")):
+class HyperbolicPolygon(_value_type("HyperbolicPolygon", "vertices genus")):
     """Cyclic vertex list of a regular-candidate 4g-gon, counterclockwise.
 
     Construction checks each vertex as an HPoint from its (x, y) pair, so a
@@ -58,8 +58,6 @@ class HyperbolicPolygon(namedtuple("HyperbolicPolygon", "vertices genus")):
     """
 
     __slots__ = ()
-    __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
-    _make = _replace = None  # each would build a value without the checks
 
     def __new__(cls, vertices, genus: int) -> "HyperbolicPolygon":
         vertices = tuple(_point(_check_point(v)) for v in vertices)

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from math import pi
+
+from . import _value_type
 
 # lift, cover_mul and cover_inv stay importable here: bench/tracer.py wraps
 # them under these names.
@@ -49,7 +50,7 @@ class RelationViolated(ValueError):
     """The generators do not satisfy the surface-group relation."""
 
 
-class Representation(namedtuple("Representation", "genus gens_a gens_b")):
+class Representation(_value_type("Representation", "genus gens_a gens_b")):
     """Genus plus the 2g generator images, as tuples of Mat2.
 
     Construction does not enforce the relation, so solver iterates and other
@@ -63,9 +64,6 @@ class Representation(namedtuple("Representation", "genus gens_a gens_b")):
     cached_property writes there directly, and nothing else can set an
     attribute.
     """
-
-    __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
-    _make = _replace = None  # each would build a value without the checks
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot set {name!r}: a Representation is immutable")

@@ -32,6 +32,8 @@ record and must match byte for byte.  The rest are test-only helpers:
 points along a geodesic (the distance oracle's polyline, and the side
 midpoints the pairing tests compare), and for euclidean the displacement of a lattice
 commutator over sample points and the length of a Euclidean polyline.
+The sphere sizes of the surface group count the tiling's orbit, level by
+level.
 """
 import cmath
 import math
@@ -565,3 +567,18 @@ def per_field_format_rep(r, meta=None) -> str:
         lines += [" ".join([key, *(format(x, ".17g") for x in M)]) for M in gens]
     lines += [f"meta {m}" for m in meta or []]
     return "\n".join(lines) + "\n"
+
+
+def surface_group_sphere_sizes(genus: int, depth: int) -> list[int]:
+    """s_0..s_depth, the elements of word length n in the genus-g surface
+    group's standard generators and their inverses:
+    sum s_n x^n = (1 + 2x + ... + 2x^(2g-1) + x^(2g)) / (1 + (2 - 4g)(x + ... + x^(2g-1)) + x^(2g))
+    (Cannon, Geom. Dedicata 16, 1984; Floyd-Plotnick, Invent. Math. 88, 1987)."""
+    top = 2 * genus
+    num = [1] + [2] * (top - 1) + [1]
+    den = [1] + [2 - 4 * genus] * (top - 1) + [1]
+    s = []
+    for n in range(depth + 1):
+        tail = sum(den[k] * s[n - k] for k in range(1, min(n, top) + 1))
+        s.append((num[n] if n <= top else 0) - tail)
+    return s

@@ -458,6 +458,12 @@ def test_euclid_reduce_basis_whose_det_underflows(capsys):
     assert (out["n"], out["m"]) == ("3", "0")
 
 
+def test_euclid_reduce_subnormal_basis_vector(capsys):
+    assert run(["euclid-reduce", "--a", "1,0", "--b", "5e-324,5e-324", "--p", "0.5,0"]) == 0
+    out = kv(capsys.readouterr().out)
+    assert out["reduced"] == "0.5 0" and (out["n"], out["m"]) == ("0", "0")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -496,12 +502,13 @@ def test_module_entry_point(tmp_path):
         ["euclid-reduce", "--a", "1,0", "--b", "0,1", "--p=inf,0"],
         ["euclid-reduce", "--a=inf,0", "--b", "0,1", "--p", "0,0"],
         ["euclid-reduce", "--a", "1e200,0", "--b", "0,1e200", "--p", "3,4"],
+        ["euclid-reduce", "--a", "2,-1", "--b=-1,1", "--p", "1e308,0"],
         ["solve", "--genus", "2", "--max-iter", "-3", "--out", "rep.txt"],
         ["solve", "--genus", "2", "--tol", "nan", "--out", "rep.txt"],
     ],
     ids=["malformed-file", "repeated-genus", "missing-file", "det-not-one", "dependent-basis",
          "polygon-genus-1", "fuchsian-gen-genus-1", "infinite-point", "infinite-basis",
-         "infinite-det", "negative-max-iter", "nan-tol"],
+         "infinite-det", "overflowing-representative", "negative-max-iter", "nan-tol"],
 )
 def test_bad_input_exits_64_with_one_error_line(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -574,15 +581,28 @@ def test_package_import_loads_no_submodule():
     assert proc.stdout == "[]\n"
 
 
+def test_submodule_read_before_it_loads():
+    # the first read of fuchsian.euclidean imports it, through the package's
+    # __getattr__, as the module the import statement then gives
+    src = str(Path(fuchsian.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = ("import sys\nimport fuchsian\nbefore = 'fuchsian.euclidean' in sys.modules\n"
+             "m = fuchsian.euclidean\nimport fuchsian.euclidean\nprint(before, m is sys.modules['fuchsian.euclidean'])\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False True\n"
+
+
 _UNUSED_BY_PLANE = {"fuchsian.reps", "dataclasses"}
+_UNUSED_BY_FLAT = _UNUSED_BY_PLANE | {"fuchsian.halfplane"}
 _UNUSED_BY_REP_FILE = {"fuchsian.polygons", "fuchsian.tiling", "fuchsian.euclidean", "fuchsian.solver"}
 
 
 @pytest.mark.parametrize("argv, code, unloaded", [
     (["classify", "--matrix", "2,1,1,1"], 0, _UNUSED_BY_PLANE),
     (["classify", "--matrix", "2,0,0,2"], 64, _UNUSED_BY_PLANE),
-    (["euclid-reduce", "--a", "1,0", "--b", "0,1", "--p", "2.5,-0.75"], 0, _UNUSED_BY_PLANE),
-    (["euclid-reduce", "--a", "1,0", "--b", "2,0", "--p", "0,0"], 64, _UNUSED_BY_PLANE),
+    (["euclid-reduce", "--a", "1,0", "--b", "0,1", "--p", "2.5,-0.75"], 0, _UNUSED_BY_FLAT),
+    (["euclid-reduce", "--a", "1,0", "--b", "2,0", "--p", "0,0"], 64, _UNUSED_BY_FLAT),
     (["toledo", "--in", "gen.rep", "--branches", "3"], 0, _UNUSED_BY_REP_FILE),
     (["toledo", "--in", "underflow.rep"], 2, _UNUSED_BY_REP_FILE),
     (["check-relation", "--in", "gen.rep"], 0, _UNUSED_BY_REP_FILE),

@@ -60,6 +60,22 @@ def test_overflowing_basis_coordinates_rejected():
         reduce_point(LatticeGroup((1e-200, 0.0), (0.0, 1e200)), (1e300, 0.0))
 
 
+def test_overflowing_representative_rejected():
+    # the basis coordinates s = t = 1e308 are finite, but p - n a - m b is not
+    L = LatticeGroup((2.0, -1.0), (-1.0, 1.0))
+    assert L.basis_coords((1e308, 0.0)) == (1e308, 1e308)
+    with pytest.raises(ValueError, match="representative of point .* overflows"):
+        reduce_point(L, (1e308, 0.0))
+
+
+def test_subnormal_basis_vector():
+    # a cross product of the scaled a with the unscaled b = (5e-324, 5e-324)
+    # would underflow to 0; the coordinates divide by the scaled pair's
+    L = LatticeGroup((1.0, 0.0), (5e-324, 5e-324))
+    assert L.basis_coords((0.5, 0.0)) == (0.5, 0.0)
+    assert reduce_point(L, (0.5, 0.0)) == ((0.5, 0.0), (0, 0))
+
+
 def test_sum_of_basis_reduces_to_origin():
     L = LatticeGroup((1.0, 0.25), (-0.5, 2.0))
     q, (n, m) = reduce_point(L, (L.a[0] + L.b[0], L.a[1] + L.b[1]))

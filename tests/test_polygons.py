@@ -90,9 +90,15 @@ class TestRegularPolygon:
         assert worst <= 2.0
 
     @pytest.mark.parametrize("g", [0, 1])
-    def test_small_genus_rejected(self, g):
+    def test_small_genus_rejected(self, g, octagon):
         with pytest.raises(GenusTooSmall):
             regular_polygon(g)
+        with pytest.raises(GenusTooSmall):
+            HyperbolicPolygon(octagon.vertices[:4], g)
+
+    def test_vertex_count_is_4g(self, octagon):
+        with pytest.raises(ValueError, match="genus 3 needs 12 vertices, got 8"):
+            HyperbolicPolygon(octagon.vertices, 3)
 
     def test_matches_object_oracle_bit_for_bit(self):
         # the tuple kernels keep every float operation of the object

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sl2_matrices
-from fuchsian.cover import _phi, cover_inv, lift
+from fuchsian.cover import CoverElement, _phi, cover_inv, kernel_value, lift
 from fuchsian.euclidean import LatticeGroup
 from fuchsian.halfplane import HPoint, Mat2, _mul, classify_detailed, rotation, scaling
 from fuchsian.polygons import regular_polygon, side_pairings
@@ -561,8 +561,9 @@ class TestRepFile:
 
 
 class TestRecords:
-    """Representation, HyperbolicPolygon, LatticeGroup and Classification are
-    checked named tuples, as Mat2 is."""
+    """The value types are named tuples from fuchsian._value_type: Mat2 and
+    HPoint, CoverElement and KernelValue, Classification, Representation,
+    HyperbolicPolygon and LatticeGroup."""
 
     REP = Representation(1, (scaling(2.0),), (rotation(0.3),))
     POLY = regular_polygon(2)
@@ -578,22 +579,21 @@ class TestRecords:
         with pytest.raises(AttributeError):
             value.extra = 1.0
 
-    @pytest.mark.parametrize("value", [REP, POLY, LAT, CLS])
-    def test_no_tuple_arithmetic(self, value):
-        for op in (lambda: value + value, lambda: 2 * value, lambda: value * 2):
-            with pytest.raises(TypeError):
-                op()
-
     @pytest.mark.parametrize("builder", [lambda v: type(v)._make(tuple(v)), lambda v: v._replace()],
                              ids=["_make", "_replace"])
     @pytest.mark.parametrize("value", [
         Mat2.identity(), HPoint(0.0, 1.0), lift(rotation(0.3), 2), REP, POLY, LAT,
+        kernel_value(lift(Mat2.identity(), 3)), CLS,
     ], ids=lambda v: type(v).__name__)
     def test_no_unchecked_builders(self, value, builder):
-        # the named-tuple builders would skip the checks of __new__; pickle
-        # and deepcopy go through __new__
-        with pytest.raises(TypeError):
-            builder(value)
+        # the value rule: no tuple + or *, and no named-tuple builder, which
+        # would skip the checks of __new__; pickle and deepcopy go through it
+        ops = [lambda: value + value, lambda: 2 * value, lambda: builder(value)]
+        if not isinstance(value, CoverElement):  # its * is the group law
+            ops.append(lambda: value * 2)
+        for op in ops:
+            with pytest.raises(TypeError):
+                op()
         for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
             assert twin == value and type(twin) is type(value) and repr(twin) == repr(value)
 

@@ -380,6 +380,11 @@ class TestDampedStep:
         assert _damped_step(_gram(cols), cols, (1.0, 1.0, 1.0), 1e-3) is None
         cols = [(math.nan, 0.0, 0.0)] * 3
         assert _damped_step(_gram(cols), cols, (1.0, 1.0, 1.0), 1e-3) is None
+        # a singular Gram matrix, whose third pivot is 0 at lam = 0
+        assert _damped_step((1.0, 0.0, 1.0, 1.0, 0.0, 1.0), cols, (1.0, 1.0, 1.0), 0.0) is None
+        # a finite system with an infinite gap
+        cols = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+        assert _damped_step(_gram(cols), cols, (math.inf, 0.0, 0.0), 1e-3) is None
 
 
 class TestOverflow:

@@ -1,10 +1,12 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
 from fuchsian.halfplane import HPoint, Mat2
 from fuchsian.polygons import regular_polygon, side_pairings
-from fuchsian.tiling import _svg_path, render_tiling
+from fuchsian.tiling import _svg_path, orbit_matrices, render_tiling
+from oracles import surface_group_sphere_sizes
 
 
 def _sha256(g: int, depth: int) -> str:
@@ -26,6 +28,19 @@ def test_svg_bytes_are_pinned(g, depth, digest):
     assert _sha256(g, depth) == digest
 
 
+def test_growth_series_counts_genus_2():
+    assert surface_group_sphere_sizes(2, 5) == [1, 8, 56, 392, 2736, 19096]
+
+
+# the corners the CLI admits: deepest at genus 2, widest at genus 150
+@pytest.mark.parametrize("g, depth", [(2, 5), (3, 3), (10, 2), (37, 2), (150, 1)])
+def test_orbit_levels_are_the_sphere_sizes(g, depth):
+    # the rounded key _canonical_key merges no two group elements and splits
+    # no one element, level by level
+    levels = Counter(level for level, _ in orbit_matrices(side_pairings(regular_polygon(g)), depth))
+    assert [levels[n] for n in range(depth + 1)] == surface_group_sphere_sizes(g, depth)
+
+
 def test_orbit_checks_no_product(monkeypatch):
     # the orbit's words are kernel products: the generators were checked when
     # side_pairings built them and each drawn vertex is checked by mobius_act
@@ -34,6 +49,13 @@ def test_orbit_checks_no_product(monkeypatch):
 
     monkeypatch.setattr(Mat2, "__matmul__", refuse)
     assert _sha256(2, 3) == "fcd4dc50d67d8840d9accf79026c374fd8d0cba7d5ce2f6d30c7ae01e6b0122e"
+
+
+def test_vertical_side_is_a_line():
+    assert _svg_path([HPoint(0.0, 1.0), HPoint(0.0, 2.0), HPoint(1.0, 1.0)]) == (
+        "M 400.00 300.00 L 400.00 200.00 A 223.61 223.61 0 0 1 500.00 300.00 "
+        "A 111.80 111.80 0 0 0 400.00 300.00 Z"
+    )
 
 
 def test_sweep_follows_the_vertex_order():

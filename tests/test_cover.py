@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -118,6 +120,10 @@ class TestValueFormat:
         assert hash(self.E) == hash(((2.0, 0.5, 0.0, 0.5), 3))
         assert self.E == ((2.0, 0.5, 0.0, 0.5), 3)
 
+    def test_pickle_and_deepcopy_round_trip(self):
+        for twin in (pickle.loads(pickle.dumps(self.E)), copy.deepcopy(self.E)):
+            assert twin == self.E and type(twin) is CoverElement and type(twin.A) is Mat2
+
     def test_assignment_raises(self):
         with pytest.raises(AttributeError):
             self.E.n = 4
@@ -132,8 +138,10 @@ class TestValueFormat:
             lift((2.0, 0.0, 0.0, 0.5))
 
     def test_star_is_the_group_law_only(self):
-        # 2 * E and E + E are refused, as for every value type (test_reps.py::TestRecords)
         assert self.E * self.E == cover_mul(self.E, self.E)
+        for op in (lambda: 2 * self.E, lambda: self.E + self.E):
+            with pytest.raises(TypeError):
+                op()
 
     def test_kernels_read_an_element_as_its_pair(self):
         # the bits the kernels return for CoverElements are those they return

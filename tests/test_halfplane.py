@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import assume, given, settings
@@ -256,12 +258,23 @@ class TestValueFormat:
         assert self.M == (2.0, 0.5, 0.0, 0.5) and self.Z == (0.25, 1.5)
         assert Mat2(a=2.0, b=0.5, c=0.0, d=0.5) == self.M
 
+    @pytest.mark.parametrize("value", [M, Z])
+    def test_pickle_and_deepcopy_round_trip(self, value):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert twin == value and type(twin) is type(value)
+
     @pytest.mark.parametrize("value, field", [(M, "a"), (M, "d"), (Z, "y")])
     def test_assignment_raises(self, value, field):
         with pytest.raises(AttributeError):
             setattr(value, field, 1.0)
         with pytest.raises(AttributeError):
             value.extra = 1.0
+
+    @pytest.mark.parametrize("value", [M, Z])
+    def test_no_tuple_arithmetic(self, value):
+        for op in (lambda: value + value, lambda: 2 * value, lambda: value * 2):
+            with pytest.raises(TypeError):
+                op()
 
     def test_kernels_read_a_value_as_its_entries(self):
         # the bits an operation returns for a Mat2 or HPoint are those it

@@ -579,6 +579,12 @@ class TestRecords:
         with pytest.raises(AttributeError):
             value.extra = 1.0
 
+    @pytest.mark.parametrize("value", [REP, POLY, LAT, CLS])
+    def test_no_tuple_arithmetic(self, value):
+        for op in (lambda: value + value, lambda: 2 * value, lambda: value * 2):
+            with pytest.raises(TypeError):
+                op()
+
     @pytest.mark.parametrize("builder", [lambda v: type(v)._make(tuple(v)), lambda v: v._replace()],
                              ids=["_make", "_replace"])
     @pytest.mark.parametrize("value", [
